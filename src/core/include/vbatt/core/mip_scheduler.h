@@ -100,8 +100,9 @@ struct MipSchedulerConfig {
   /// so the root LP starts dual-feasible and usually re-optimizes in a
   /// handful of pivots. Unlike `warm_start` this can change which of
   /// several equal-cost optima the solver lands on, so it is a separate
-  /// knob; the pinned default engine ignores hints entirely and stays
-  /// byte-stable regardless. Hints are invalidated wholesale whenever the
+  /// knob. Under the default decomposed engine a hint only reaches the
+  /// solves that take the monolithic fallback; the chain DP needs none.
+  /// Hints are invalidated wholesale whenever the
   /// simulator reports a topology change (on_topology_change) — a basis
   /// for a fleet that lost a link or a rack describes the wrong polytope.
   bool reuse_basis = true;
@@ -111,15 +112,18 @@ struct MipSchedulerConfig {
   /// and the k=0 move-row rhs change. On a cache hit those are patched in
   /// place instead of rebuilding — the patched model is bitwise-identical
   /// to a scratch build (same arithmetic, same order), so every engine
-  /// including pinned produces byte-identical schedules. The cache is
-  /// dropped wholesale by on_topology_change.
+  /// produces the same schedule either way. The cache is dropped wholesale
+  /// by on_topology_change.
   bool incremental_build = true;
-  /// Debug cross-check: after every patch, also build from scratch and
-  /// require bitwise equality (solver::models_bitwise_equal), throwing
-  /// std::logic_error with the first divergence. Expensive — it negates
-  /// the build savings — so it is reserved for tests and the
-  /// solver.delta_model_identity fuzz property.
-  bool verify_incremental_build = false;
+  /// Audit mode, for tests and fuzz properties: every patched model (and
+  /// econ coefficient vector) is rebuilt from scratch and must match it
+  /// bitwise, and every solve — each lexicographic stage included — is
+  /// re-solved with the frozen reference oracle
+  /// (solver::certify_against_reference): a differing status, an
+  /// objective gap above 1e-6 or a primal-infeasible x throws
+  /// std::logic_error naming the stage, app and tick. Expensive — the
+  /// oracle is a dense tableau — so it is off in every production path.
+  bool audit = false;
   solver::MipOptions mip{};
 };
 
@@ -224,8 +228,10 @@ class MipScheduler final : public Scheduler {
   /// `previous` (may be null) is the app's last committed trajectory; it is
   /// re-aligned to the new horizon and fed to the solver as a warm-start
   /// incumbent. `hint` (may be null) is the app's persisted cross-replan
-  /// basis; solve_mip consumes and refreshes it in place.
+  /// basis; solve_mip consumes and refreshes it in place. `app_id` only
+  /// names the app in audit-mode errors.
   std::optional<Trajectory> solve_app(const FleetState& state,
+                                      std::int64_t app_id,
                                       int stable_cores, double stable_mem_gb,
                                       util::Tick end_tick,
                                       const std::vector<std::size_t>& sites,
@@ -268,7 +274,7 @@ class MipScheduler final : public Scheduler {
   /// to the solver as a warm-start incumbent. Pruned as apps depart.
   std::map<std::int64_t, Trajectory> prev_trajectories_;
   /// Persisted per-app solver bases + duals (cross-replan warm starts for
-  /// the revised-family engines). Pruned with prev_trajectories_; cleared
+  /// the revised B&B). Pruned with prev_trajectories_; cleared
   /// wholesale by on_topology_change.
   std::map<std::int64_t, solver::MipBasisHint> basis_hints_;
   /// Built trajectory models keyed by structural family (buckets,
@@ -281,7 +287,7 @@ class MipScheduler final : public Scheduler {
   /// model_cache_ (buckets, candidate-set size, has-current-site). Hits
   /// are patched in place exactly like the model cache — the patched
   /// vector is bitwise-identical to a scratch build (same arithmetic,
-  /// same order) — and verify_incremental_build cross-checks it too.
+  /// same order) — and audit mode cross-checks it too.
   /// Pure derived state; cleared wholesale by on_topology_change.
   std::map<std::tuple<int, std::int64_t, int>, std::vector<double>>
       econ_cache_;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "vbatt/solver/certify.h"
 #include "vbatt/stats/quantile.h"
 #include "vbatt/util/thread_pool.h"
 
@@ -135,8 +136,9 @@ void MipScheduler::refresh_capacity(const FleetState& state) {
 }
 
 std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
-    const FleetState& state, int stable_cores, double stable_mem_gb,
-    util::Tick end_tick, const std::vector<std::size_t>& sites,
+    const FleetState& state, std::int64_t app_id, int stable_cores,
+    double stable_mem_gb, util::Tick end_tick,
+    const std::vector<std::size_t>& sites,
     std::optional<std::size_t> current_site, const Trajectory* previous,
     solver::MipBasisHint* hint) {
   const int total_buckets = static_cast<int>(committed_moves_gb_.size());
@@ -160,6 +162,22 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
                        (state.graph->axis().minutes_per_tick() / 60.0) /
                        1000.0
                  : 0.0;
+
+  // Audit mode: certify a solve against the reference oracle while the
+  // model still holds that stage's rows and costs.
+  const auto audit_solve = [&](const solver::Model& model,
+                               const solver::MipResult& result,
+                               const char* stage) {
+    if (!config_.audit) return;
+    const std::string bad =
+        solver::certify_against_reference(model, result, config_.mip);
+    if (!bad.empty()) {
+      throw std::logic_error{"MipScheduler: " + std::string{stage} +
+                             " solve for app " + std::to_string(app_id) +
+                             " at tick " + std::to_string(state.now) +
+                             " failed certification: " + bad};
+    }
+  };
 
   /// Build and solve the model over `nb` buckets; nullopt when the solver
   /// fails (infeasible or node budget exhausted).
@@ -279,7 +297,7 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     } else {
       patch(cached);
       ++model_patches_;
-      if (config_.verify_incremental_build) {
+      if (config_.audit) {
         const solver::Model rebuilt = build_scratch();
         const std::string diff = solver::diff_models_bitwise(cached, rebuilt);
         if (!diff.empty()) {
@@ -351,6 +369,7 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
   // here beyond the topology invalidation done in on_topology_change.
   solver::MipResult primary = solver::solve_mip(
       model, config_.mip, have_warm ? &warm : nullptr, hint);
+  audit_solve(model, primary, "primary");
   if (hint != nullptr) {
     if (primary.used_basis_hint) {
       ++basis_hint_hits_;
@@ -400,7 +419,7 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
           slot->second[x_index(k, s)] = econ_coeff(k, s);
         }
       }
-      if (config_.verify_incremental_build) {
+      if (config_.audit) {
         const std::vector<double> rebuilt = econ_scratch();
         if (rebuilt.size() != slot->second.size() ||
             (!rebuilt.empty() &&
@@ -434,6 +453,7 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     ++solve_count_;
     solver::MipResult second = solver::solve_mip(
         model, config_.mip, config_.warm_start ? &econ_warm : nullptr);
+    audit_solve(model, second, "econ");
     if (second.status == solver::LpStatus::optimal) {
       chosen = second;
       econ_capped = true;
@@ -502,6 +522,7 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     ++solve_count_;
     solver::MipResult second = solver::solve_mip(
         model, config_.mip, config_.warm_start ? &stage2_warm : nullptr);
+    audit_solve(model, second, "peak");
     // Restore the stage-1 model: peak rows, peak variable, O1 cap, costs.
     for (int r = 0; r < peak_rows; ++r) model.pop_constraint();
     model.pop_var();
@@ -625,8 +646,9 @@ Scheduler::Placement MipScheduler::place(const workload::Application& app,
     // No persisted basis for arrivals: several candidate subgraphs are
     // tried and only one wins, so a hint would be refreshed by losers.
     const std::optional<Trajectory> trajectory =
-        solve_app(state, app.stable_cores(), app.stable_memory_gb(),
-                  end_tick, candidate.sites, std::nullopt, nullptr, nullptr);
+        solve_app(state, app.app_id, app.stable_cores(),
+                  app.stable_memory_gb(), end_tick, candidate.sites,
+                  std::nullopt, nullptr, nullptr);
     if (trajectory && (!best || trajectory->cost < best->cost)) {
       best = trajectory;
       best_sites = &candidate.sites;
@@ -680,16 +702,13 @@ std::vector<Move> MipScheduler::replan(const FleetState& state) {
     const Trajectory* previous =
         prev_it != prev_trajectories_.end() ? &prev_it->second : nullptr;
     // One solve per app per replan: its persisted basis (if any) seeds the
-    // root and is refreshed in place for the next round. The pinned
-    // engine ignores hints, so don't offer one (keeps hit/miss honest).
-    solver::MipBasisHint* hint = nullptr;
-    if (config_.reuse_basis &&
-        config_.mip.engine != solver::MipEngine::pinned) {
-      hint = &basis_hints_[app->app.app_id];
-    }
+    // root and is refreshed in place for the next round.
+    solver::MipBasisHint* hint =
+        config_.reuse_basis ? &basis_hints_[app->app.app_id] : nullptr;
     const std::optional<Trajectory> trajectory = solve_app(
-        state, app->app.stable_cores(), app->app.stable_memory_gb(),
-        app->end_tick, app->allowed, app->site, previous, hint);
+        state, app->app.app_id, app->app.stable_cores(),
+        app->app.stable_memory_gb(), app->end_tick, app->allowed, app->site,
+        previous, hint);
     if (!trajectory) continue;
     std::vector<Move> moves =
         commit(app->app.app_id, *trajectory, app->app.stable_cores(),

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "bb_detail.h"
-
 namespace vbatt::solver {
 
 namespace {
@@ -521,11 +519,27 @@ MipResult solve_mip_decomposed(const Model& model, const MipOptions& options,
   result.status = LpStatus::optimal;
   result.proven_optimal = true;
 
+  // Every exit without a stitched solution, the node budget's included:
+  // blocks solved so far do not make an incumbent for the whole model.
+  const auto fail = [&](LpStatus status) {
+    result.status = status;
+    result.x.clear();
+    result.proven_optimal = false;
+    result.objective = 0.0;
+    return result;
+  };
+  // Node budget: a chain DP or the box block is one node, a sub-B&B the
+  // nodes it explored.
+  const auto budget_spent = [&]() {
+    return result.nodes_explored >= options.max_nodes;
+  };
+
   for (const Block& block : blocks) {
     int stages = 0;
     const ChainOutcome outcome =
         try_chain(model, rows, block, result.x, &stages);
     if (outcome == ChainOutcome::solved) {
+      if (budget_spent()) return fail(LpStatus::iteration_limit);
       ++result.nodes_explored;
       ++result.blocks;
       ++result.chain_blocks;
@@ -534,31 +548,25 @@ MipResult solve_mip_decomposed(const Model& model, const MipOptions& options,
     }
     if (outcome == ChainOutcome::infeasible) {
       ++result.nodes_explored;
-      result.status = LpStatus::infeasible;
-      result.x.clear();
-      result.proven_optimal = false;
-      result.objective = 0.0;
-      return result;
+      return fail(LpStatus::infeasible);
     }
     if (blocks.size() == 1 && box_vars.empty()) return fallback();
+    if (budget_spent()) return fail(LpStatus::iteration_limit);
+    MipOptions sub_opts = options;
+    sub_opts.max_nodes = options.max_nodes - result.nodes_explored;
     const MipResult sub =
-        solve_block_bb(model, rows, block, options, warm, result.x);
+        solve_block_bb(model, rows, block, sub_opts, warm, result.x);
     result.nodes_explored += sub.nodes_explored;
     result.pivots += sub.pivots;
     ++result.blocks;
-    if (sub.status != LpStatus::optimal) {
-      result.status = sub.status;
-      result.x.clear();
-      result.proven_optimal = false;
-      result.objective = 0.0;
-      return result;
-    }
+    if (sub.status != LpStatus::optimal) return fail(sub.status);
     result.proven_optimal = result.proven_optimal && sub.proven_optimal;
   }
 
   if (!box_vars.empty()) {
     // All row-less variables form one box block: each sits at whichever
     // bound (rounded inward for integers) its cost prefers.
+    if (budget_spent()) return fail(LpStatus::iteration_limit);
     ++result.nodes_explored;
     ++result.blocks;
     for (const int v : box_vars) {
@@ -568,20 +576,10 @@ MipResult solve_mip_decomposed(const Model& model, const MipOptions& options,
       if (var.integer) {
         lo = std::ceil(lo - options.int_tol);
         hi = std::floor(hi + options.int_tol);
-        if (lo > hi) {
-          result.status = LpStatus::infeasible;
-          result.x.clear();
-          result.proven_optimal = false;
-          return result;
-        }
+        if (lo > hi) return fail(LpStatus::infeasible);
       }
       if (var.cost < 0.0) {
-        if (!std::isfinite(hi)) {
-          result.status = LpStatus::unbounded;
-          result.x.clear();
-          result.proven_optimal = false;
-          return result;
-        }
+        if (!std::isfinite(hi)) return fail(LpStatus::unbounded);
         result.x[static_cast<std::size_t>(v)] = hi;
       } else {
         result.x[static_cast<std::size_t>(v)] = lo;

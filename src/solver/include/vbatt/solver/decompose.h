@@ -1,4 +1,4 @@
-// Stage-3 decomposition layer behind MipEngine::decomposed.
+// Decomposition layer behind MipEngine::decomposed, the default engine.
 //
 // The scheduling MIPs are block-structured: union-find over "variables
 // sharing a constraint row" splits the model into independent blocks that
@@ -38,6 +38,8 @@ namespace vbatt::solver {
 /// to a block's variables is a feasible block incumbent). `hint` is used
 /// and refreshed only on the monolithic fallback path — per-block bases
 /// do not compose into a monolithic hint and chain blocks need none.
+/// `options.max_nodes` bounds the chain DPs, the box block and the
+/// sub-B&Bs together; see MipOptions.
 MipResult solve_mip_decomposed(const Model& model,
                                const MipOptions& options = {},
                                const MipWarmStart* warm = nullptr,

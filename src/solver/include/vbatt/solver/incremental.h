@@ -14,9 +14,8 @@
 // scratch paths evaluate the same arithmetic in the same order, the
 // patched model is bitwise-identical to a from-scratch build. That claim
 // is enforced, not assumed: models_bitwise_equal() backs the
-// solver.delta_model_identity fuzz property and MipSchedulerConfig::
-// verify_incremental_build, and the cache is dropped whole on
-// topology-epoch bumps.
+// solver.delta_model_identity fuzz property and MipSchedulerConfig::audit,
+// and the cache is dropped whole on topology-epoch bumps.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 // Frozen seed solver (dense two-phase tableau simplex + best-first branch
-// & bound), retained verbatim as the correctness oracle for the revised
-// engine — the same role dcsim's `scan_reference.h` plays for the indexed
-// site queries. Tests and `bench_solver` cross-check every LP/MIP objective
-// against this implementation; it is never used on the production path.
+// & bound), retained verbatim as the correctness oracle for both engines —
+// the same role dcsim's `scan_reference.h` plays for the indexed site
+// queries. Tests, `bench_solver` and the scheduler's audit mode
+// (certify.h) cross-check every LP/MIP objective against this
+// implementation; it is never used on the production path.
 #pragma once
 
 #include "vbatt/solver/branch_bound.h"

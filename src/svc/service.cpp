@@ -12,7 +12,11 @@ namespace vbatt::svc {
 
 namespace {
 
-constexpr std::uint64_t kSnapshotVersion = 1;
+// Version 2: MIP ledgers and committed trajectories are planned by the
+// decomposed engine. A version-1 snapshot holds plans from the retired
+// seed-tableau engine that this build would not reproduce on replay, so
+// it is refused rather than restored.
+constexpr std::uint64_t kSnapshotVersion = 2;
 
 [[noreturn]] void reject(const std::string& what) {
   throw std::runtime_error{"ControlPlane: " + what};

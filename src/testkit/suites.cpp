@@ -29,8 +29,7 @@
 #include "vbatt/svc/event_log.h"
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
-#include "vbatt/solver/decompose.h"
-#include "vbatt/solver/parallel_bb.h"
+#include "vbatt/solver/certify.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/vm_reference.h"
@@ -777,83 +776,15 @@ Spec gen_model_spec(util::Rng& rng) {
 const std::vector<ShrinkKey> kModelShrink = {
     {"vars", 1}, {"rows", 0}, {"ints", 0}};
 
-CaseResult eval_pinned_bitwise(const Spec& spec) {
-  const solver::Model model = make_model(spec);
-  solver::MipOptions pinned;
-  pinned.engine = solver::MipEngine::pinned;
-  const solver::MipResult got = solver::solve_mip(model, pinned);
-  const solver::MipResult want = solver::reference::solve_mip(model);
-  if (got.status != want.status) {
-    return fail_str("status " + std::to_string(static_cast<int>(got.status)) +
-                    " != reference " +
-                    std::to_string(static_cast<int>(want.status)));
-  }
-  if (got.proven_optimal != want.proven_optimal) {
-    return fail_str("proven_optimal mismatch");
-  }
-  if (got.nodes_explored != want.nodes_explored) {
-    return fail_str("nodes_explored " + std::to_string(got.nodes_explored) +
-                    " != reference " + std::to_string(want.nodes_explored));
-  }
-  if (got.pivots != want.pivots) {
-    return fail_str("pivots " + std::to_string(got.pivots) +
-                    " != reference " + std::to_string(want.pivots));
-  }
-  if (got.objective != want.objective) {  // bitwise by design
-    return fail_str("objective bits differ: " +
-                    std::to_string(got.objective) + " vs " +
-                    std::to_string(want.objective));
-  }
-  if (got.x != want.x) return fail_str("solution vectors differ bitwise");
-  return CaseResult::pass();
-}
-
-/// x must satisfy bounds, integrality, and every row of `model` to `tol`.
-std::string audit_feasibility(const solver::Model& model,
-                              const std::vector<double>& x, double tol) {
-  if (x.size() != model.n_vars()) return "solution size mismatch";
-  for (std::size_t v = 0; v < x.size(); ++v) {
-    const solver::Variable& var = model.vars()[v];
-    if (x[v] < var.lb - tol || x[v] > var.ub + tol) {
-      return "variable " + var.name + " out of bounds";
-    }
-    if (var.integer && std::abs(x[v] - std::round(x[v])) > tol) {
-      return "variable " + var.name + " not integral";
-    }
-  }
-  for (std::size_t c = 0; c < model.n_constraints(); ++c) {
-    const solver::Constraint& con = model.constraints()[c];
-    double lhs = 0.0;
-    for (const auto& [idx, coeff] : con.terms) {
-      lhs += coeff * x[static_cast<std::size_t>(idx)];
-    }
-    const bool ok = con.rel == solver::Rel::le   ? lhs <= con.rhs + tol
-                    : con.rel == solver::Rel::ge ? lhs >= con.rhs - tol
-                                                 : std::abs(lhs - con.rhs) <=
-                                                       tol;
-    if (!ok) return "constraint " + std::to_string(c) + " violated";
-  }
-  return {};
-}
-
 CaseResult eval_revised_objective(const Spec& spec) {
   const solver::Model model = make_model(spec);
   solver::MipOptions revised;
   revised.engine = solver::MipEngine::revised;
   const solver::MipResult got = solver::solve_mip(model, revised);
-  const solver::MipResult want = solver::reference::solve_mip(model);
-  if (got.status != want.status) {
-    return fail_str("status " + std::to_string(static_cast<int>(got.status)) +
-                    " != reference " +
-                    std::to_string(static_cast<int>(want.status)));
-  }
-  if (got.status != solver::LpStatus::optimal) return CaseResult::pass();
-  if (!near(got.objective, want.objective, 1e-6)) {
-    return fail_str("objective " + std::to_string(got.objective) +
-                    " != reference " + std::to_string(want.objective));
-  }
-  if (std::string bad = audit_feasibility(model, got.x, 1e-6); !bad.empty()) {
-    return fail_str("revised solution infeasible: " + bad);
+  if (std::string bad =
+          solver::certify_against_reference(model, got, revised);
+      !bad.empty()) {
+    return fail_str("revised " + bad);
   }
   return CaseResult::pass();
 }
@@ -874,7 +805,7 @@ CaseResult eval_mip_dominance(const Spec& spec) {
       if (var.integer) value = std::floor(value);
       x[v] = std::clamp(value, var.lb, var.ub);
     }
-    if (!audit_feasibility(model, x, 1e-9).empty()) continue;
+    if (!solver::find_infeasibility(model, x, 1e-9).empty()) continue;
     if (mip.status != solver::LpStatus::optimal) {
       return fail_str("reference says " +
                       std::to_string(static_cast<int>(mip.status)) +
@@ -918,7 +849,7 @@ CaseResult eval_lexi_restore(const Spec& spec) {
   for (double& c : secondary) c = rng.uniform(-5.0, 5.0);
 
   for (const solver::MipEngine engine :
-       {solver::MipEngine::pinned, solver::MipEngine::revised}) {
+       {solver::MipEngine::decomposed, solver::MipEngine::revised}) {
     solver::Model model = original;
     solver::MipOptions options;
     options.engine = engine;
@@ -926,15 +857,16 @@ CaseResult eval_lexi_restore(const Spec& spec) {
     if (std::string diff = diff_models(original, model); !diff.empty()) {
       return fail_str(std::string{"solve_lexicographic left the model "
                                   "modified ("} +
-                      (engine == solver::MipEngine::pinned ? "pinned"
-                                                           : "revised") +
+                      (engine == solver::MipEngine::decomposed
+                           ? "decomposed"
+                           : "revised") +
                       "): " + diff);
     }
   }
   return CaseResult::pass();
 }
 
-/// Spec for the decomposition/parallel properties: alternates between the
+/// Spec for the decomposition property: alternates between the
 /// fully random family (usually coupled → monolithic fallback) and a
 /// block-diagonal chain family (several independent trajectory chains →
 /// the DP master), so both sides of the decomposed engine fuzz every run.
@@ -1029,8 +961,10 @@ CaseResult eval_decomposed_diff(const Spec& spec) {
     return fail_str("decomposed objective " + std::to_string(got.objective) +
                     " != monolithic " + std::to_string(want.objective));
   }
-  if (std::string bad = audit_feasibility(model, got.x, 1e-6); !bad.empty()) {
-    return fail_str("decomposed solution infeasible: " + bad);
+  if (std::string bad =
+          solver::certify_against_reference(model, got, decomposed);
+      !bad.empty()) {
+    return fail_str("decomposed " + bad);
   }
   // A chain family must actually decompose; the fallback defeats the test.
   if (spec.get("chains", std::int64_t{0}) > 0 && got.monolithic_fallback) {
@@ -1039,49 +973,10 @@ CaseResult eval_decomposed_diff(const Spec& spec) {
   return CaseResult::pass();
 }
 
-CaseResult eval_parallel_bb_invariance(const Spec& spec) {
-  const solver::Model model = make_decompose_model(spec);
-  solver::MipOptions options;
-  options.engine = solver::MipEngine::parallel;
-  util::ThreadPool serial{0};
-  util::ThreadPool wide{3};
-  const solver::MipResult one =
-      solver::solve_mip_parallel(model, options, nullptr, nullptr, &serial);
-  const solver::MipResult four =
-      solver::solve_mip_parallel(model, options, nullptr, nullptr, &wide);
-  if (one.status != four.status) return fail_str("status depends on width");
-  if (one.nodes_explored != four.nodes_explored) {
-    return fail_str("node count depends on width: " +
-                    std::to_string(one.nodes_explored) + " vs " +
-                    std::to_string(four.nodes_explored));
-  }
-  if (one.pivots != four.pivots) return fail_str("pivots depend on width");
-  if (one.proven_optimal != four.proven_optimal) {
-    return fail_str("proven_optimal depends on width");
-  }
-  if (one.status == solver::LpStatus::optimal) {
-    if (one.objective != four.objective) {  // bitwise by design
-      return fail_str("incumbent objective bits depend on width");
-    }
-    if (one.x != four.x) return fail_str("incumbent vector depends on width");
-    const solver::MipResult want = solver::reference::solve_mip(model);
-    if (want.status == solver::LpStatus::optimal &&
-        !near(one.objective, want.objective, 1e-6)) {
-      return fail_str("parallel objective " + std::to_string(one.objective) +
-                      " != reference " + std::to_string(want.objective));
-    }
-    if (std::string bad = audit_feasibility(model, one.x, 1e-6);
-        !bad.empty()) {
-      return fail_str("parallel solution infeasible: " + bad);
-    }
-  }
-  return CaseResult::pass();
-}
-
-/// MipScheduler's incremental model builder: a faulted run whose patched
-/// models are re-verified bitwise against a scratch build on every replan
-/// (verify_incremental_build throws on the first diverging bit) must also
-/// reproduce the scratch-built simulation exactly. Chaos is on so
+/// MipScheduler's incremental model builder: a faulted run in audit mode
+/// (every patched model re-verified bitwise against a scratch build, every
+/// solve certified against the reference oracle; either failure throws)
+/// must also reproduce the scratch-built simulation exactly. Chaos is on so
 /// topology-epoch bumps exercise the cache-invalidation path, and the
 /// scheduler's own counters prove the delta path actually ran.
 CaseResult eval_delta_model_identity(const Spec& spec) {
@@ -1094,13 +989,13 @@ CaseResult eval_delta_model_identity(const Spec& spec) {
 
   std::int64_t patches = 0;
   std::int64_t invalidations = 0;
-  const auto run_with = [&](bool incremental, bool verify) {
+  const auto run_with = [&](bool incremental, bool audit) {
     fault::FaultInjector injector{sc.graph, schedule, noise};
     core::VmLevelConfig config;
     config.faults.hooks = &injector;
     core::MipSchedulerConfig mc = core::make_mip24h_config();
     mc.incremental_build = incremental;
-    mc.verify_incremental_build = verify;
+    mc.audit = audit;
     core::MipScheduler scheduler{mc};
     core::VmLevelResult result = core::run_vm_level_simulation(
         injector.graph(), sc.apps, scheduler, config, nullptr);
@@ -1121,8 +1016,9 @@ CaseResult eval_delta_model_identity(const Spec& spec) {
       return fail_str("incremental vs scratch model build: " + diff);
     }
   } catch (const std::logic_error& e) {
-    // verify_incremental_build throws through the sim on a bitwise diff.
-    return fail_str(std::string{"delta build diverged: "} + e.what());
+    // Audit mode throws through the sim on a bitwise diff or a solve
+    // that fails certification.
+    return fail_str(std::string{"audit failed: "} + e.what());
   }
   // Patch/invalidation counts depend on how many same-family solves the
   // random scenario happens to produce, so they are observability here,
@@ -1683,8 +1579,6 @@ std::vector<Property> all_properties() {
                       eval_placement_diff,
                       {{"ops", 1}, {"servers", 1}}});
 
-  registry.push_back({"solver", "pinned_bitwise", gen_model_spec,
-                      eval_pinned_bitwise, kModelShrink});
   registry.push_back({"solver", "revised_objective", gen_model_spec,
                       eval_revised_objective, kModelShrink});
   registry.push_back({"solver", "mip_dominance", gen_model_spec,
@@ -1693,8 +1587,6 @@ std::vector<Property> all_properties() {
                       eval_lexi_restore, kModelShrink});
   registry.push_back({"solver", "decomposed_diff", gen_decompose_spec,
                       eval_decomposed_diff, kDecomposeShrink});
-  registry.push_back({"solver", "parallel_bb_invariance", gen_decompose_spec,
-                      eval_parallel_bb_invariance, kDecomposeShrink});
   registry.push_back({"solver", "delta_model_identity",
                       [](util::Rng& rng) {
                         Spec spec = gen_scenario_spec(rng);

@@ -1,7 +1,18 @@
 #!/bin/sh
-# Graceful shutdown: SIGINT a long-running vbatt schedule run and a
-# vbatt_svc scenario run; both must flush partial results and exit with
-# the interrupted exit code (40) instead of dying mid-write.
+# Graceful shutdown: SIGINT/SIGTERM a `vbatt schedule` run and a vbatt_svc
+# session; both must flush partial results and exit with the interrupted
+# exit code (40) instead of dying mid-write.
+#
+# Each signal lands at a point the script controls, never after a sleep,
+# so the outcome does not depend on how fast the host runs the workload:
+#   - vbatt schedule reads its fault schedule (--chaos-csv) from a FIFO.
+#     Opening the FIFO's write end returns only once the run has opened the
+#     read end, after main() installed the signal handlers. The script
+#     signals then and writes the (empty) schedule afterwards; the run
+#     polls the flag at its first tick and stops there.
+#   - vbatt_svc --stdin blocks on its command stream. The script feeds a
+#     few ticks, waits until the run echoes them, signals, then sends one
+#     more command; the run checks the flag before executing it.
 #
 # Usage: graceful_shutdown.sh <vbatt-binary> <vbatt_svc-binary>
 set -u
@@ -15,35 +26,61 @@ fail() {
   exit 1
 }
 
-interrupt_and_check() {
+check_interrupted() {
   label="$1"
-  shift
-  out="$tmpdir/$label.out"
-  err="$tmpdir/$label.err"
-  "$@" >"$out" 2>"$err" &
-  pid=$!
-  # Give the run time to get past setup and into the tick loop.
-  sleep 2
-  kill -s "$sig" "$pid" 2>/dev/null || fail "$label finished before the signal; grow the workload"
-  wait "$pid"
-  status=$?
+  status="$2"
   [ "$status" -eq 40 ] || {
-    cat "$err" >&2
+    cat "$tmpdir/$label.err" >&2
     fail "$label: expected exit 40 after $sig, got $status"
   }
-  grep -q "interrupted by signal" "$err" ||
+  grep -q "interrupted by signal" "$tmpdir/$label.err" ||
     fail "$label: stderr lacks the interruption notice"
-  [ -s "$out" ] || fail "$label: no partial results flushed to stdout"
+  [ -s "$tmpdir/$label.out" ] ||
+    fail "$label: no partial results flushed to stdout"
 }
 
-# The MIP policy keeps both runs busy for tens of seconds (greedy would
-# finish before the signal lands); the signal is checked per tick, so the
-# interrupt is honored promptly regardless.
+interrupt_cli() {
+  label="cli_$sig"
+  fifo="$tmpdir/$label.csv"
+  mkfifo "$fifo"
+  "$vbatt" schedule --days=30 --solar=10 --wind=10 --policy=mip \
+    --chaos-csv="$fifo" >"$tmpdir/$label.out" 2>"$tmpdir/$label.err" &
+  pid=$!
+  exec 3>"$fifo"  # returns once the run has opened the schedule
+  kill -s "$sig" "$pid" || fail "$label: run exited before the signal"
+  echo "kind,start,end,site,peer,alpha,sigma,count" >&3
+  exec 3>&-
+  wait "$pid"
+  check_interrupted "$label" $?
+}
+
+interrupt_svc() {
+  label="svc_$sig"
+  fifo="$tmpdir/$label.in"
+  mkfifo "$fifo"
+  "$vbatt_svc" --stdin --days=2 --policy=mip \
+    <"$fifo" >"$tmpdir/$label.out" 2>"$tmpdir/$label.err" &
+  pid=$!
+  exec 3>"$fifo"
+  echo "tick 4" >&3
+  # The echo is flushed before the run reads its next command, so once it
+  # shows up the run is waiting on the stream, not racing the signal.
+  polls=0
+  until grep -q '^tick=' "$tmpdir/$label.out"; do
+    polls=$((polls + 1))
+    [ "$polls" -le 600 ] || fail "$label never acknowledged its ticks"
+    sleep 0.1
+  done
+  kill -s "$sig" "$pid" || fail "$label: run exited before the signal"
+  echo "status" >&3
+  exec 3>&-
+  wait "$pid"
+  check_interrupted "$label" $?
+}
+
 for sig in INT TERM; do
-  interrupt_and_check "cli_$sig" \
-    "$vbatt" schedule --days=30 --solar=10 --wind=10 --policy=mip
-  interrupt_and_check "svc_$sig" \
-    "$vbatt_svc" --days=30 --solar=8 --wind=8 --policy=mip
+  interrupt_cli
+  interrupt_svc
 done
 
 echo "OK: graceful shutdown verified for vbatt and vbatt_svc (INT, TERM)"

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "vbatt/solver/certify.h"
 #include "vbatt/util/rng.h"
 
 namespace vbatt::solver {
@@ -90,6 +91,33 @@ TEST(Mip, NodeBudgetReturnsIterationLimit) {
   options.max_nodes = 1;
   const MipResult r = solve_mip(m, options);
   EXPECT_FALSE(r.proven_optimal);
+}
+
+TEST(Certify, FlagsWrongObjectiveAndInfeasibleSolution) {
+  Model m;
+  const int a = m.add_binary("a", -10.0);
+  const int b = m.add_binary("b", -6.0);
+  const int c = m.add_binary("c", -4.0);
+  m.add_constraint({{a, 5.0}, {b, 4.0}, {c, 3.0}}, Rel::le, 10.0);
+  const MipOptions options;
+  const MipResult good = solve_mip(m, options);
+  EXPECT_EQ(certify_against_reference(m, good, options), "");
+
+  MipResult off = good;
+  off.objective += 1e-3;
+  EXPECT_NE(certify_against_reference(m, off, options).find("objective"),
+            std::string::npos);
+
+  MipResult infeasible = good;
+  infeasible.x = {1.0, 1.0, 1.0};  // weight 12 > 10
+  EXPECT_NE(
+      certify_against_reference(m, infeasible, options).find("infeasible"),
+      std::string::npos);
+
+  MipResult wrong_status = good;
+  wrong_status.status = LpStatus::infeasible;
+  EXPECT_NE(certify_against_reference(m, wrong_status, options).find("status"),
+            std::string::npos);
 }
 
 /// Property: on random small binary programs, branch & bound matches

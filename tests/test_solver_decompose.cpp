@@ -1,4 +1,4 @@
-// Directed coverage for the stage-3 decomposition layer (decompose.h).
+// Directed coverage for the decomposition layer (decompose.h).
 //
 //  * Chain detection: the scheduler's trajectory family must be solved by
 //    the exact DP master (chain_blocks > 0, no fallback) with the same
@@ -303,6 +303,33 @@ TEST(DecomposedMip, ObjectiveMatchesReferenceOnChainFamily) {
     if (want.status != LpStatus::optimal) continue;
     EXPECT_NEAR(got.objective, want.objective, kObjTol) << "seed " << seed;
   }
+}
+
+TEST(DecomposedMip, NodeBudgetCountsEveryBlock) {
+  // Each chain DP costs one node: a budget below the block count leaves
+  // the stitched solution incomplete, which is no incumbent at all.
+  const Model one_chain = trajectory_mip(3, 4, 5);
+  MipOptions options = engine_options(MipEngine::decomposed);
+  options.max_nodes = 0;
+  const MipResult starved = solve_mip(one_chain, options);
+  EXPECT_EQ(starved.status, LpStatus::iteration_limit);
+  EXPECT_TRUE(starved.x.empty());
+  EXPECT_FALSE(starved.proven_optimal);
+
+  options.max_nodes = 1;
+  const MipResult enough = solve_mip(one_chain, options);
+  ASSERT_EQ(enough.status, LpStatus::optimal);
+  EXPECT_TRUE(enough.proven_optimal);
+  EXPECT_EQ(enough.nodes_explored, 1);
+
+  // One chain plus a row-less box variable: two blocks, two nodes.
+  Model two_blocks = trajectory_mip(3, 4, 5);
+  (void)two_blocks.add_var("free", 1.0, 0.0, 2.0);
+  const MipResult short_one = solve_mip(two_blocks, options);
+  EXPECT_EQ(short_one.status, LpStatus::iteration_limit);
+  EXPECT_TRUE(short_one.x.empty());
+  options.max_nodes = 2;
+  EXPECT_EQ(solve_mip(two_blocks, options).status, LpStatus::optimal);
 }
 
 TEST(BasisHint, SecondSolveUsesAndRefreshesHint) {

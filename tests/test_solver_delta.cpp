@@ -3,11 +3,11 @@
 // identity across replans and topology-epoch invalidations.
 //
 // The load-bearing claim is bitwise: a patched model must equal the
-// from-scratch build down to the last mantissa bit, because every solver
-// engine — including the byte-stable pinned one — consumes it, and any
-// drift would silently change schedules. verify_incremental_build wires
-// that check into the scheduler itself (it throws on the first diverging
-// bit); these tests pin the cache mechanics around it.
+// from-scratch build down to the last mantissa bit, because the solver
+// consumes it and any drift would silently change schedules. Audit mode
+// (MipSchedulerConfig::audit) wires that check into the scheduler itself
+// (it throws on the first diverging bit); these tests pin the cache
+// mechanics around it.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -149,7 +149,7 @@ MipSchedulerConfig delta_config() {
   config.incremental_build = true;
   // Audit every patched model against a scratch rebuild: any diverging
   // bit throws std::logic_error out of the solve.
-  config.verify_incremental_build = true;
+  config.audit = true;
   return config;
 }
 
@@ -209,7 +209,7 @@ TEST(DeltaModelBuild, TopologyChangeDropsTheCacheWholesale) {
   // scheduler that never cached anything.
   MipSchedulerConfig scratch_config = delta_config();
   scratch_config.incremental_build = false;
-  scratch_config.verify_incremental_build = false;
+  scratch_config.audit = false;
   MipScheduler scratch{scratch_config};
   const std::vector<Move> scratch_moves =
       drive(scratch, graph, /*invalidate=*/true);
@@ -231,7 +231,7 @@ TEST(DeltaModelBuild, FullSimulationMatchesScratchBuilds) {
   const auto run_with = [&](bool incremental) {
     MipSchedulerConfig config = delta_config();
     config.incremental_build = incremental;
-    config.verify_incremental_build = incremental;
+    config.audit = incremental;
     MipScheduler scheduler{config};
     return run_vm_level_simulation(graph, apps, scheduler, {});
   };

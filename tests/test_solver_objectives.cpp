@@ -1,7 +1,7 @@
 // The econ objective stack: solve_lexicographic_stages with a 3-stage
 // chain restoring the model exactly, the econ-coefficient cache patching
 // price/carbon coefficients bitwise-identically to a scratch build (the
-// scheduler audits every patch itself under verify_incremental_build),
+// scheduler audits every patch itself in audit mode),
 // and topology-epoch invalidation dropping the econ cache along with the
 // model cache. Companion fuzz property: solver.objective_identity.
 #include <gtest/gtest.h>
@@ -118,7 +118,7 @@ MipSchedulerConfig econ_delta_config(const energy::SiteSeries* price) {
   config.incremental_build = true;
   // Audit every patched model AND every patched econ-coefficient vector
   // against a scratch rebuild: one diverging bit throws std::logic_error.
-  config.verify_incremental_build = true;
+  config.audit = true;
   return config;
 }
 
@@ -156,7 +156,7 @@ TEST(EconDeltaBuild, PatchedPriceCoefficientsMatchScratchBitwise) {
       {}, graph.axis(), graph.n_sites(), graph.n_ticks());
   MipScheduler scheduler{econ_delta_config(&price)};
   // Replans shift b0, so the cached econ vector is re-patched with
-  // drifted bucket sums each time; verify_incremental_build memcmp's it
+  // drifted bucket sums each time; audit mode memcmps it
   // against a scratch build inside solve_app and throws on divergence.
   EXPECT_NO_THROW((void)drive(scheduler, graph, /*invalidate=*/false));
   EXPECT_GE(scheduler.model_patch_count(), 1);
@@ -183,7 +183,7 @@ TEST(EconDeltaBuild, TopologyEpochInvalidationDropsTheEconCache) {
   // never cached anything.
   MipSchedulerConfig scratch_config = econ_delta_config(&price);
   scratch_config.incremental_build = false;
-  scratch_config.verify_incremental_build = false;
+  scratch_config.audit = false;
   MipScheduler scratch{scratch_config};
   const std::vector<Move> scratch_moves =
       drive(scratch, graph, /*invalidate=*/true);
@@ -217,7 +217,7 @@ TEST(EconDeltaBuild, FullCostSimulationMatchesScratchBuilds) {
   const auto run_with = [&](bool incremental) {
     MipSchedulerConfig mc = econ_delta_config(&price);
     mc.incremental_build = incremental;
-    mc.verify_incremental_build = incremental;
+    mc.audit = incremental;
     MipScheduler scheduler{mc};
     return run_vm_level_simulation(graph, apps, scheduler, config, nullptr);
   };

@@ -18,6 +18,7 @@
 #include "vbatt/svc/event_log.h"
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
+#include "vbatt/util/wire.h"
 
 namespace vbatt::svc {
 namespace {
@@ -222,6 +223,38 @@ TEST(SvcRecovery, RestoreRejectsPolicyMismatchAndCorruption) {
   std::string bad_magic = snap;
   bad_magic[0] = 'X';
   EXPECT_THROW(fresh.restore_snapshot(bad_magic), std::runtime_error);
+}
+
+TEST(SvcRecovery, RestoreRejectsVersionOneSnapshot) {
+  // A version-1 snapshot carries plans made by the retired seed-tableau
+  // MIP engine; restoring it would silently diverge from the run that
+  // wrote it. Re-frame a current snapshot as version 1 (valid magic,
+  // length and CRC) and require the named rejection.
+  const Scenario scenario = make_scenario(tiny_scenario());
+  ControlPlane a{scenario.graph, service_config("mip24h")};
+  Event tick;
+  tick.kind = EventKind::tick_advance;
+  a.submit(tick);
+  const std::string snap = a.snapshot_bytes();
+  std::string payload = snap.substr(kSnapshotMagic.size() + 8);
+  util::wire::Writer version;
+  version.u64(1);
+  payload.replace(0, version.data().size(), version.data());
+  util::wire::Writer frame;
+  frame.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(util::wire::crc32(payload.data(), payload.size()));
+  frame.bytes(payload.data(), payload.size());
+
+  ControlPlane fresh{scenario.graph, service_config("mip24h")};
+  try {
+    fresh.restore_snapshot(frame.data());
+    FAIL() << "a version-1 snapshot was restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("unsupported snapshot version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SvcRecovery, ReplayRejectsSequenceGaps) {
