@@ -3,7 +3,7 @@
 // For each (policy, intensity) cell a seeded fault schedule is generated
 // (blackouts, brownouts, forecast corruption, WAN link flaps, server
 // failures), baked into a FaultInjector, and driven through the VM-level
-// simulator with the invariant checker armed on every tick. Reported per
+// fleet engine with the invariant checker armed on every tick. Reported per
 // cell:
 //   availability   stable-core availability (mean / min over apps)
 //   p99 recovery   p99 / max length of contiguous displaced-stable runs,
@@ -24,8 +24,8 @@
 
 #include "bench_util.h"
 #include "vbatt/core/availability.h"
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/fault/injector.h"
 #include "vbatt/util/thread_pool.h"
@@ -201,6 +201,8 @@ int main(int argc, char** argv) {
                                     /*check_invariants=*/true};
       core::VmLevelConfig config;
       config.faults.hooks = &injector;
+      core::FleetSimOptions options;
+      options.pool = &pool;
 
       CellResult cell;
       cell.policy = policy;
@@ -210,8 +212,8 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       core::VmLevelResult result{graph.n_sites(), ticks};
       try {
-        result = core::run_vm_level_simulation(injector.graph(), apps,
-                                               *scheduler, config, &pool);
+        result = core::run_fleet_simulation(injector.graph(), apps,
+                                            *scheduler, config, options);
       } catch (const std::logic_error& e) {
         std::fprintf(stderr, "INVARIANT VIOLATION (%s @ %.1f): %s\n", policy,
                      intensity, e.what());
@@ -225,8 +227,8 @@ int main(int argc, char** argv) {
       if (intensity == 0.0) {
         // The zero-chaos cell must reproduce a run with no injector at all.
         const auto plain_sched = make_scheduler(policy);
-        const core::VmLevelResult plain = core::run_vm_level_simulation(
-            graph, apps, *plain_sched, {}, &pool);
+        const core::VmLevelResult plain = core::run_fleet_simulation(
+            graph, apps, *plain_sched, {}, options);
         if (!same_result(result, plain)) {
           std::fprintf(stderr,
                        "FAIL: %s intensity-0 run diverged from the "

@@ -1,21 +1,20 @@
 // VM-level simulation engine scaling bench: servers x VM load x ticks.
 //
-// Times two generations of run_vm_level_simulation on identical inputs:
-//   reference  the pre-index engine (linear-scan placement over all
-//              servers, rebuild-and-sort shrink, full live-map sweeps,
-//              per-server energy scan), now shared with the property
-//              fuzzer as testkit::reference_vm_run — the fixed "before"
+// Times the VM-level engine against its oracle on identical inputs:
+//   reference  testkit::reference_vm_run, the frozen executable spec
+//              (linear-scan placement over all servers, rebuild-and-sort
+//              shrink, full live-map sweeps, per-server energy scan) that
+//              the property fuzzer also uses — the fixed "before"
 //              baseline;
-//   serial     the event-driven engine (free-cores bucket index, calendar
-//              queues, incremental power counters), pool = nullptr;
-//   parallel   the same plus ThreadPool fan-out of per-site power
-//              enforcement and energy accounting.
+//   serial     run_fleet_simulation with no pool (SiteBlock bucket index,
+//              calendar queues, incremental power counters);
+//   parallel   the same with the shard phases fanned over the ThreadPool.
 // Every row's three results are checked identical field-for-field
-// (counters, moved_gb, energy series, per-site ledger) before any timing
-// is reported. The headline row is the paper's single 700-server site over
-// a full year of 15-minute ticks. `--json <path>` writes the sweep for CI
-// to archive; the binary exits non-zero if results diverge or the JSON
-// cannot be written.
+// (testkit::diff_vm_results) before any timing is reported. The headline
+// row is the paper's single 700-server site over a full year of 15-minute
+// ticks. `--fleet` runs the fleet-scale sweep instead (see below).
+// `--json <path>` writes the sweep for CI to archive; the binary exits
+// non-zero if results diverge or the JSON cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +25,6 @@
 
 #include "bench_util.h"
 #include "vbatt/core/fleet_sim.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/carbon.h"
 #include "vbatt/energy/cost.h"
 #include "vbatt/energy/site.h"
@@ -119,10 +117,11 @@ bool write_json(const std::string& path, const std::vector<SweepRow>& rows,
 
 // --- fleet sweep ----------------------------------------------------------
 //
-// The sharded engine (run_fleet_simulation) against the event-driven
-// engine at fleet scale: many sites, hundreds of servers each, up to a
-// year of ticks. Cells small enough to run the unsharded engine are
-// cross-checked field-for-field; the bench exits non-zero on divergence.
+// run_fleet_simulation at fleet scale — many sites, hundreds of servers
+// each, up to a year of ticks — serial (8 shards, no pool) and pooled
+// (one shard per lane). Cells small enough for the reference engine are
+// timed against it and cross-checked field-for-field; the larger ones
+// check serial against pooled. The bench exits non-zero on divergence.
 // The headline cell is 1000 sites x 700 servers x 1 year.
 
 struct FleetCase {
@@ -130,9 +129,9 @@ struct FleetCase {
   double cores_per_mw = 70.0;  // 700 servers/site at 400 MW peak
   double apps_per_hour = 6.0;
   std::size_t days = 30;
-  bool check = true;  // run the unsharded engine and demand bit-identity
+  bool check = true;  // run the reference engine and demand bit-identity
   bool headline = false;
-  bool speedup_cell = false;  // the acceptance cell (100 sites, 30 days)
+  bool speedup_cell = false;  // the pool-vs-serial cell (100 sites)
   // "base" is the plain service workload; "mixed_econ" layers the batch
   // overlay (deadline jobs + harvest fillers) plus price and carbon
   // metering on the same fleet — the scenario cells perf_smoke gates.
@@ -145,7 +144,7 @@ struct FleetRow {
   std::size_t days = 0;
   std::size_t apps = 0;
   std::size_t vms = 0;
-  double unsharded_ms = 0.0;  // 0 when the cell is too big to cross-check
+  double ref_ms = 0.0;  // 0 when the cell is too big to cross-check
   double fleet_serial_ms = 0.0;
   double fleet_pool_ms = 0.0;
   bool checked = false;
@@ -156,13 +155,13 @@ struct FleetRow {
 
 bool write_fleet_json(const std::string& path,
                       const std::vector<FleetRow>& rows,
-                      double speedup_100) {
+                      double pool_speedup_100) {
   std::ofstream out{path};
   bench::JsonWriter json{out};
   json.begin_object();
   json.field("bench", "fleet_dcsim");
   json.field("threads", util::ThreadPool::default_threads());
-  json.field("speedup_100_sites", speedup_100);
+  json.field("pool_speedup_100_sites", pool_speedup_100);
   json.begin_array("results");
   for (const FleetRow& r : rows) {
     json.begin_object();
@@ -172,23 +171,13 @@ bool write_fleet_json(const std::string& path,
     json.field("days", r.days);
     json.field("apps", r.apps);
     json.field("vms", r.vms);
-    // Unchecked cells (too big to run the unsharded engine against) have
-    // no cross-check timing: omit unsharded_ms/speedup entirely rather
-    // than emit a 0.0 a reader could mistake for a measurement. The
-    // "checked": false flag marks the omission.
-    if (r.checked) {
-      json.field("unsharded_ms", r.unsharded_ms);
-    }
+    // Unchecked cells (too big for the reference engine) have no
+    // reference timing: omit ref_ms rather than emit a 0.0 a reader could
+    // mistake for a measurement. The "checked": false flag marks the
+    // omission; there bit_identical compares serial with pooled.
+    if (r.checked) json.field("ref_ms", r.ref_ms);
     json.field("fleet_serial_ms", r.fleet_serial_ms);
     json.field("fleet_pool_ms", r.fleet_pool_ms);
-    // Best fleet configuration at this thread count: on a multi-core
-    // host the pooled run wins; on a single hardware thread the serial
-    // discipline does (both produce bit-identical results).
-    if (r.checked) {
-      json.field("speedup",
-                 r.unsharded_ms / std::max(1e-9, std::min(r.fleet_serial_ms,
-                                                          r.fleet_pool_ms)));
-    }
     json.field("checked", r.checked);
     json.field("bit_identical", r.bit_identical);
     json.field("headline", r.headline);
@@ -207,7 +196,7 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
   const std::vector<FleetCase> cases = {
       {10, 70.0, 6.0, 30, true, false, false},
       {50, 70.0, 12.0, 30, true, false, false},   // CI / sanitizer cell
-      {100, 70.0, 24.0, 30, true, false, true},   // acceptance speedup cell
+      {100, 70.0, 24.0, 30, true, false, true},   // pool-vs-serial cell
       {250, 70.0, 40.0, 90, false, false, false},
       {1000, 70.0, 60.0, 365, false, true, false},  // headline
       // Scenario cells: the same fleets with the batch overlay plus price
@@ -221,11 +210,11 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
               util::ThreadPool::default_threads() == 1 ? "" : "s");
   std::printf("  %5s %-10s %7s %5s %7s %9s | %9s %9s %9s | %7s | %s\n",
               "sites", "scenario", "servers", "days", "apps", "vms",
-              "unshrd ms", "serial ms", "pool ms", "speedup", "identical");
+              "ref ms", "serial ms", "pool ms", "pool x", "identical");
 
   std::vector<FleetRow> rows;
   bool all_identical = true;
-  double speedup_100 = 0.0;
+  double pool_speedup_100 = 0.0;
   for (const FleetCase& c : cases) {
     if (c.n_sites > max_sites) continue;
     const std::size_t ticks = 96 * c.days;
@@ -269,14 +258,14 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
       config.ext = &ext;
     }
 
-    core::VmLevelResult unsharded{graph.n_sites(), ticks};
+    core::VmLevelResult ref{graph.n_sites(), ticks};
     core::VmLevelResult fleet_serial{graph.n_sites(), ticks};
     core::VmLevelResult fleet_pool{graph.n_sites(), ticks};
     if (c.check) {
-      row.unsharded_ms = best_of_ms(repeats, [&] {
+      // The oracle is slow by design: one timed run is enough.
+      row.ref_ms = best_of_ms(1, [&] {
         core::GreedyScheduler scheduler;
-        unsharded = core::run_vm_level_simulation(graph, apps, scheduler,
-                                                  config, nullptr);
+        ref = testkit::reference_vm_run(graph, apps, scheduler, config);
       });
     }
     row.fleet_serial_ms = best_of_ms(repeats, [&] {
@@ -293,46 +282,33 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
       fleet_pool =
           core::run_fleet_simulation(graph, apps, scheduler, config, options);
     });
-    if (c.check) {
-      row.bit_identical =
-          testkit::diff_vm_results(unsharded, fleet_serial, graph.n_sites())
-              .empty() &&
-          testkit::diff_vm_results(unsharded, fleet_pool, graph.n_sites())
-              .empty();
-    } else {
-      // The two sharded configurations must agree even when the cell is
-      // too big for the unsharded cross-check.
-      row.bit_identical =
-          testkit::diff_vm_results(fleet_serial, fleet_pool, graph.n_sites())
-              .empty();
-    }
+    // Serial and pooled must agree on every cell, and equal the oracle
+    // where it ran.
+    row.bit_identical =
+        testkit::diff_vm_results(fleet_serial, fleet_pool, graph.n_sites())
+            .empty() &&
+        (!c.check ||
+         testkit::diff_vm_results(ref, fleet_serial, graph.n_sites()).empty());
     all_identical = all_identical && row.bit_identical;
-    if (c.speedup_cell && c.check) {
-      speedup_100 =
-          row.unsharded_ms /
-          std::max(1e-9, std::min(row.fleet_serial_ms, row.fleet_pool_ms));
-    }
+    const double pool_speedup =
+        row.fleet_serial_ms / std::max(1e-9, row.fleet_pool_ms);
+    if (c.speedup_cell) pool_speedup_100 = pool_speedup;
     rows.push_back(row);
 
     std::printf(
-        "  %5d %-10s %7d %5zu %7zu %9zu | %9.1f %9.1f %9.1f | %6.1fx | %s\n",
+        "  %5d %-10s %7d %5zu %7zu %9zu | %9.1f %9.1f %9.1f | %6.2fx | %s\n",
         row.sites, row.scenario.c_str(), row.servers, row.days, row.apps,
-        row.vms, row.unsharded_ms, row.fleet_serial_ms, row.fleet_pool_ms,
-        row.checked
-            ? row.unsharded_ms /
-                  std::max(1e-9,
-                           std::min(row.fleet_serial_ms, row.fleet_pool_ms))
-            : 0.0,
-        row.bit_identical ? "yes" : "NO");
+        row.vms, row.ref_ms, row.fleet_serial_ms, row.fleet_pool_ms,
+        pool_speedup, row.bit_identical ? "yes" : "NO");
   }
 
-  if (speedup_100 > 0.0) {
-    std::printf("fleet acceptance (100 sites x 700 servers x 30 days): "
-                "%.1fx vs unsharded engine\n",
-                speedup_100);
+  if (pool_speedup_100 > 0.0) {
+    std::printf("fleet pool vs serial (100 sites x 700 servers x 30 days): "
+                "%.2fx\n",
+                pool_speedup_100);
   }
   if (!json_path.empty()) {
-    if (!write_fleet_json(json_path, rows, speedup_100)) {
+    if (!write_fleet_json(json_path, rows, pool_speedup_100)) {
       std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
       return 1;
     }
@@ -340,7 +316,7 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
   }
   if (!all_identical) {
     std::fprintf(stderr,
-                 "FAIL: sharded engine diverged from the reference\n");
+                 "FAIL: fleet engine diverged from the reference\n");
     return 1;
   }
   return 0;
@@ -426,13 +402,12 @@ int main(int argc, char** argv) {
     });
     row.serial_ms = best_of_ms(repeats, [&] {
       core::GreedyScheduler scheduler;
-      serial = core::run_vm_level_simulation(graph, apps, scheduler, {},
-                                             nullptr);
+      serial = core::run_fleet_simulation(graph, apps, scheduler);
     });
     row.parallel_ms = best_of_ms(repeats, [&] {
       core::GreedyScheduler scheduler;
-      parallel =
-          core::run_vm_level_simulation(graph, apps, scheduler, {}, pool);
+      parallel = core::run_fleet_simulation(graph, apps, scheduler, {},
+                                            core::FleetSimOptions{0, pool});
     });
     row.bit_identical =
         testkit::diff_vm_results(ref, serial, graph.n_sites()).empty() &&
@@ -452,7 +427,7 @@ int main(int argc, char** argv) {
         row.bit_identical ? "yes" : "NO");
   }
 
-  std::printf("headline (700 servers x 1 year): %.1fx vs pre-index engine\n",
+  std::printf("headline (700 servers x 1 year): %.1fx vs reference engine\n",
               headline_speedup);
   if (!json_path.empty()) {
     if (!write_json(json_path, rows, headline_speedup)) {
@@ -462,8 +437,8 @@ int main(int argc, char** argv) {
     std::printf("json -> %s\n", json_path.c_str());
   }
   if (!all_identical) {
-    std::fprintf(stderr, "FAIL: event-driven engine diverged from the "
-                         "frozen reference\n");
+    std::fprintf(stderr, "FAIL: fleet engine diverged from the frozen "
+                         "reference\n");
     return 1;
   }
   return 0;

@@ -26,8 +26,8 @@ constexpr std::size_t kWordBits = 64;
 
 /// Dense bitset over app slots; iteration yields ascending slot order,
 /// which equals ascending app_id order (slots are the rank of the app_id
-/// in sorted order) — the same order the unsharded engine's std::set and
-/// ordered-map walks produce.
+/// in sorted order) — the order the reference engine's ordered-map walks
+/// produce.
 class SlotBits {
  public:
   void resize(std::size_t n) { words_.assign((n + kWordBits - 1) / kWordBits, 0); }
@@ -60,18 +60,6 @@ class SlotBits {
   std::vector<std::uint64_t> words_;
 };
 
-dcsim::BlockPolicy block_policy(VmLevelConfig::Placement placement) {
-  switch (placement) {
-    case VmLevelConfig::Placement::first_fit:
-      return dcsim::BlockPolicy::first_fit;
-    case VmLevelConfig::Placement::worst_fit:
-      return dcsim::BlockPolicy::worst_fit;
-    case VmLevelConfig::Placement::best_fit:
-      break;
-  }
-  return dcsim::BlockPolicy::best_fit;
-}
-
 }  // namespace
 
 VmLevelResult run_fleet_simulation(
@@ -81,7 +69,6 @@ VmLevelResult run_fleet_simulation(
   const std::size_t n_sites = graph.n_sites();
   const std::size_t n_ticks = graph.n_ticks();
   VmLevelResult result{n_sites, n_ticks};
-  const dcsim::BlockPolicy policy = block_policy(config.placement);
 
   util::ThreadPool* const pool = options.pool;
   const std::size_t lanes = pool != nullptr ? pool->size() + 1 : 1;
@@ -128,8 +115,7 @@ VmLevelResult run_fleet_simulation(
   };
 
   // --- App slots: rank of app_id in sorted order, so slot order ==
-  // app_id order and every bitset walk reproduces the unsharded engine's
-  // ordered iteration.
+  // app_id order and every bitset walk is an ordered (app_id) iteration.
   const std::size_t n_apps = apps.size();
   std::vector<std::int64_t> slot_app_id(n_apps);
   std::unordered_map<std::int64_t, std::int32_t> slot_of;
@@ -147,7 +133,7 @@ VmLevelResult run_fleet_simulation(
     }
   }
 
-  // Per-app columns (SoA replacement for the unsharded TrackedApp map).
+  // Per-app columns (one SoA column per tracked-app field).
   // Shape/arrival data is filled up front from the workload; placement
   // state is written at arrival time.
   std::vector<std::int32_t> app_index(n_apps, -1);  // slot -> index in apps
@@ -246,7 +232,7 @@ VmLevelResult run_fleet_simulation(
     return id;
   };
 
-  // --- Fault machinery (identical bookkeeping to the unsharded engine).
+  // --- Fault machinery: move retry queue and scheduled server repairs.
   FaultHooks* const hooks = config.faults.hooks;
   const MoveRetryPolicy retry = config.faults.retry;
   struct PendingRetry {
@@ -261,8 +247,10 @@ VmLevelResult run_fleet_simulation(
   std::int64_t fleet_paused = 0;
 
   // --- Displaced / paused machinery. The queue holds (vm_id, source);
-  // shape and ownership come from the VM/app columns. The unsharded
-  // engine's std::map aggregates become flat arrays indexed by core
+  // shape and ownership come from the VM/app columns. The aggregates
+  // (entries per core count, per app, and the core-tick sum) let the
+  // re-home and resume passes prove "nothing can fit anywhere" in
+  // O(shards) and skip their walks; they are flat arrays indexed by core
   // count, with explicit entry counters standing in for .empty().
   std::deque<std::pair<std::int64_t, std::int32_t>> displaced;
   std::vector<std::int64_t> displaced_core_counts(
@@ -304,9 +292,9 @@ VmLevelResult run_fleet_simulation(
     }
   };
 
-  // Event indices, as in the unsharded engine. The departure heap is
-  // keyed (end_tick, slot); slot order == app_id order, so pops come out
-  // in the unsharded (end_tick, app_id) order.
+  // Event indices: apps by departure tick and pending moves by due tick.
+  // The departure heap is keyed (end_tick, slot); slot order == app_id
+  // order, so pops come out in (end_tick, app_id) order.
   using AppDeparture = std::pair<util::Tick, std::int32_t>;
   std::priority_queue<AppDeparture, std::vector<AppDeparture>,
                       std::greater<AppDeparture>>
@@ -326,7 +314,7 @@ VmLevelResult run_fleet_simulation(
     const int cores = app_cores[static_cast<std::size_t>(slot)];
     const double mem = app_mem[static_cast<std::size_t>(slot)];
     const int server = shard.block.place(s - shard.lo, vm_id, cores, mem,
-                                         degradable, policy);
+                                         degradable);
     if (server < 0) return false;
     (degradable ? state.degradable_cores : state.stable_cores)[s] += cores;
     VmRec& rec = vm_recs[static_cast<std::size_t>(vm_id)];
@@ -366,9 +354,9 @@ VmLevelResult run_fleet_simulation(
       n_shards);
 
   // Opt-in scenario extensions (coordinator-only state, so the shard count
-  // cannot perturb them). The overlay steps at the same serial point as the
-  // unsharded engine; econ terms accumulate in the deferred-metering
-  // reductions below in the identical (tick, site) order.
+  // cannot perturb them). The overlay steps at a serial point after
+  // degradable resume; econ terms accumulate in the deferred-metering
+  // reductions below in (tick, site) order.
   const bool has_overlay = config.ext != nullptr &&
                            config.ext->batch != nullptr &&
                            !config.ext->batch->empty();
@@ -389,6 +377,39 @@ VmLevelResult run_fleet_simulation(
       });
     } else {
       for (std::size_t k = 0; k < n_shards; ++k) body(k);
+    }
+  };
+
+  /// Energy: only servers hosting VMs are powered. A shard meters its own
+  /// sites' MWh from the block counters, O(1) per site; the coordinator
+  /// then reduces the terms into one tick's slot in site order.
+  const auto meter_shard = [&](const Shard& shard) {
+    for (std::size_t s = shard.lo; s < shard.hi; ++s) {
+      const std::size_t local = s - shard.lo;
+      const int powered = shard.block.powered_servers(local);
+      site_powered[s] = powered;
+      site_mwh[s] = (powered * config.power.server_idle_watts +
+                     shard.block.active_cores(local) *
+                         config.power.watts_per_active_core) *
+                    hours_per_tick / 1e6;
+    }
+  };
+  const auto reduce_energy = [&](std::size_t tick) {
+    const auto at = static_cast<double>(tick);
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      result.powered_server_ticks += site_powered[s];
+      result.base.energy_mwh += site_mwh[s];
+      result.base.energy_mwh_per_tick[tick] += site_mwh[s];
+      if (price != nullptr) {
+        const double usd = price->value(s, at) * site_mwh[s];
+        result.base.cost_usd += usd;
+        result.base.cost_usd_per_tick[tick] += usd;
+      }
+      if (carbon != nullptr) {
+        const double kg = carbon->value(s, at) * site_mwh[s];
+        result.base.carbon_kg += kg;
+        result.base.carbon_kg_per_tick[tick] += kg;
+      }
     }
   };
 
@@ -488,18 +509,7 @@ VmLevelResult run_fleet_simulation(
     // budget, and detach departing VMs.
     const auto phase_a = [&](std::size_t k) {
       Shard& shard = shards[k];
-      if (i > 0) {
-        for (std::size_t s = shard.lo; s < shard.hi; ++s) {
-          const std::size_t local = s - shard.lo;
-          const int powered = shard.block.powered_servers(local);
-          const int active_cores = shard.block.active_cores(local);
-          site_powered[s] = powered;
-          site_mwh[s] =
-              (powered * config.power.server_idle_watts +
-               active_cores * config.power.watts_per_active_core) *
-              hours_per_tick / 1e6;
-        }
-      }
+      if (i > 0) meter_shard(shard);
       for (const auto& [s, count] : shard.repairs) {
         shard.block.repair_servers(s - shard.lo, count);
       }
@@ -562,26 +572,8 @@ VmLevelResult run_fleet_simulation(
     state.avail_cache = &avail;
 
     // Epoch barrier: serial reductions in global site order. Energy for
-    // tick t-1 lands exactly where the unsharded engine added it.
-    if (i > 0) {
-      for (std::size_t s = 0; s < n_sites; ++s) {
-        result.powered_server_ticks += site_powered[s];
-        result.base.energy_mwh += site_mwh[s];
-        result.base.energy_mwh_per_tick[i - 1] += site_mwh[s];
-        if (price != nullptr) {
-          const double usd =
-              price->value(s, static_cast<double>(i - 1)) * site_mwh[s];
-          result.base.cost_usd += usd;
-          result.base.cost_usd_per_tick[i - 1] += usd;
-        }
-        if (carbon != nullptr) {
-          const double kg =
-              carbon->value(s, static_cast<double>(i - 1)) * site_mwh[s];
-          result.base.carbon_kg += kg;
-          result.base.carbon_kg_per_tick[i - 1] += kg;
-        }
-      }
-    }
+    // tick t-1 lands in tick t-1's slot, in site order.
+    if (i > 0) reduce_energy(i - 1);
 
     // 1b. Departure bookkeeping (serial, calendar pop order): retire
     //     paused/displaced aggregates and drop the app.
@@ -615,7 +607,7 @@ VmLevelResult run_fleet_simulation(
     // 2. Replanning. The FleetState mirror is rebuilt from the app
     //    columns: shards each build one contiguous slot range (order-free
     //    construction), the coordinator splices them in slot order, so
-    //    the ordered map comes out identical to the unsharded build.
+    //    the ordered map comes out identical to a serial build.
     if (replan_period > 0 && t > 0 && t % replan_period == 0) {
       state.apps.clear();
       run_sharded([&](std::size_t k) {
@@ -736,7 +728,7 @@ VmLevelResult run_fleet_simulation(
       const std::int64_t stable_hi = app_stable_base[u] + app_stable_n[u];
       for (std::int64_t id = app_stable_base[u]; id < stable_hi; ++id) {
         // Only VMs resident at the old home move (a displaced VM re-homed
-        // elsewhere stays put, as in the unsharded engine).
+        // elsewhere stays put).
         if (vm_recs[static_cast<std::size_t>(id)].site != from) continue;
         remove_vm_at(id, static_cast<std::size_t>(from));
         if (place_vm(id, slot, false, move.to_site)) {
@@ -849,9 +841,13 @@ VmLevelResult run_fleet_simulation(
       absorb_evicted(s, evicted_by_site[s]);
     }
 
-    // 6. Re-home displaced stable VMs (serial rotation, identical to the
-    //    unsharded pass; the any_can_fit proof uses the per-shard maxima
-    //    — absorb_evicted changed no allocation, so they are still exact).
+    // 6. Re-home displaced stable VMs (serial rotation of the queue).
+    //    When no site has headroom for even the smallest displaced VM —
+    //    the common case during long power dips — every retry would fail
+    //    and the rotation would leave the queue unchanged, so the pass
+    //    collapses to the sums it would have accumulated. The proof uses
+    //    the per-shard maxima: absorb_evicted changed no allocation, so
+    //    they are still exact.
     bool any_can_fit = false;
     if (displaced_entries > 0) {
       int min_cores = 0;
@@ -955,9 +951,10 @@ VmLevelResult run_fleet_simulation(
     result.base.paused_degradable_vm_ticks += fleet_paused;
     result.base.degradable_active_vm_ticks += fleet_degradable_ids;
 
-    // 7b. Batch overlay (serial): identical free-core formula and step
-    //     point as the unsharded engine, so the overlay trajectory is
-    //     bit-identical at every shard/thread count.
+    // 7b. Batch overlay (serial): gang-schedule deadline jobs and harvest
+    //     fillers onto the cores the service ledger leaves free this tick.
+    //     It reads the fleet ledger, not server-level headroom, so the
+    //     trajectory is bit-identical at every shard/thread count.
     if (has_overlay) {
       for (std::size_t s = 0; s < n_sites; ++s) {
         const std::int64_t free = static_cast<std::int64_t>(avail[s]) -
@@ -989,37 +986,11 @@ VmLevelResult run_fleet_simulation(
     }
   }
 
-  // Trailing energy pass for the final tick.
-  if (n_ticks > 0) {
-    run_sharded([&](std::size_t k) {
-      Shard& shard = shards[k];
-      for (std::size_t s = shard.lo; s < shard.hi; ++s) {
-        const std::size_t local = s - shard.lo;
-        const int powered = shard.block.powered_servers(local);
-        const int active_cores = shard.block.active_cores(local);
-        site_powered[s] = powered;
-        site_mwh[s] = (powered * config.power.server_idle_watts +
-                       active_cores * config.power.watts_per_active_core) *
-                      hours_per_tick / 1e6;
-      }
-    });
-    for (std::size_t s = 0; s < n_sites; ++s) {
-      result.powered_server_ticks += site_powered[s];
-      result.base.energy_mwh += site_mwh[s];
-      result.base.energy_mwh_per_tick[n_ticks - 1] += site_mwh[s];
-      if (price != nullptr) {
-        const double usd =
-            price->value(s, static_cast<double>(n_ticks - 1)) * site_mwh[s];
-        result.base.cost_usd += usd;
-        result.base.cost_usd_per_tick[n_ticks - 1] += usd;
-      }
-      if (carbon != nullptr) {
-        const double kg =
-            carbon->value(s, static_cast<double>(n_ticks - 1)) * site_mwh[s];
-        result.base.carbon_kg += kg;
-        result.base.carbon_kg_per_tick[n_ticks - 1] += kg;
-      }
-    }
+  // Trailing energy pass for the last simulated tick (the horizon's end,
+  // or the tick before a cooperative shutdown stopped the loop).
+  if (result.base.completed_ticks > 0) {
+    run_sharded([&](std::size_t k) { meter_shard(shards[k]); });
+    reduce_energy(static_cast<std::size_t>(result.base.completed_ticks - 1));
   }
 
   if (has_overlay) {

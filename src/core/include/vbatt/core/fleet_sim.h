@@ -1,11 +1,20 @@
-// Sharded fleet-scale VM-level simulator.
+// VM-granular multi-site simulation (§3.1 step 4 integrated), sharded for
+// fleet scale.
 //
-// run_vm_level_simulation is a single event loop over one global site
-// array; at fleet scale (1000 sites, millions of VMs) its per-VM heap
-// objects and global sweeps dominate. run_fleet_simulation produces
-// bit-identical results from a sharded engine: the fleet is split into
-// contiguous site ranges, each owning its sites' hot state as one SoA
-// dcsim::SiteBlock, and each tick alternates between
+// The app-level simulator (simulation.h) treats each VB node as a bag of
+// cores — the right granularity for Table 1. This engine additionally
+// models every node as a cluster of servers and places each VM best-fit,
+// so intra-site effects become visible:
+//   * fragmentation: cores may be free but no server fits a VM;
+//   * consolidation: best-fit packing leaves whole servers empty, and
+//     empty servers draw no power (the paper's "power down unallocated
+//     cores" taken to server granularity);
+//   * per-VM eviction: a power dip evicts individual VMs round-robin over
+//     servers rather than whole applications.
+//
+// The fleet is split into contiguous site ranges (shards), each owning its
+// sites' hot state as one SoA dcsim::SiteBlock, and each tick alternates
+// between
 //
 //   * parallel shard phases — work that only touches one site and
 //     commutes across sites (energy metering, server repairs, power-budget
@@ -13,20 +22,51 @@
 //     ThreadPool with every shard writing only its own slices; and
 //   * serial coordinator phases — every decision whose outcome depends on
 //     cross-site order (scheduler calls, proactive moves, displaced
-//     re-home, resume, and all floating-point reductions), executed in
-//     exactly the unsharded engine's order.
+//     re-home, resume, batch overlay, and all floating-point reductions),
+//     executed in global site / app_id order.
 //
-// Cross-shard effects (inter-site migrations, displacements) are emitted
-// as per-shard logs during parallel phases and merged by the coordinator
-// in global site order at the epoch barrier between phases, so the
-// result is bit-identical to run_vm_level_simulation for every
-// VBATT_THREADS and shard-count setting. The determinism contract and
-// the phase schedule are documented in docs/SIMULATOR.md.
+// Cross-shard effects (inter-site migrations, displacements) are merged by
+// the coordinator in global site order at the epoch barrier between
+// phases, so the result is bit-identical for every VBATT_THREADS and
+// shard-count setting. testkit::reference_vm_run is the frozen
+// executable specification the engine must match field for field. The
+// tick loop, the determinism contract and the phase schedule are
+// documented in docs/SIMULATOR.md.
 #pragma once
 
-#include "vbatt/core/vm_level_sim.h"
+#include "vbatt/core/scheduler.h"
+#include "vbatt/core/simulation.h"
+#include "vbatt/dcsim/site.h"
+#include "vbatt/util/thread_pool.h"
 
 namespace vbatt::core {
+
+struct VmLevelConfig {
+  dcsim::ServerSpec server{40, 512.0};
+  SitePowerModel power{};
+  /// Optional fault injection (hooks == nullptr keeps the no-fault path
+  /// byte-identical) plus the move retry/backoff discipline.
+  FaultConfig faults{};
+  /// Opt-in scenario extensions (batch overlay, price/carbon series); null
+  /// keeps the run byte-identical. The overlay is stepped at a serial
+  /// point after degradable resume, so it is bit-identical at any shard
+  /// and thread count.
+  const ScenarioExtensions* ext = nullptr;
+};
+
+struct VmLevelResult {
+  SimResult base;
+  /// Individual VM moves (the app-level sim counts app moves).
+  std::int64_t vm_migrations = 0;
+  /// Placements that failed on fragmentation despite aggregate headroom.
+  std::int64_t fragmentation_failures = 0;
+  /// Tick-summed count of powered servers across the fleet (for energy /
+  /// consolidation comparisons).
+  std::int64_t powered_server_ticks = 0;
+
+  VmLevelResult(std::size_t n_sites, std::size_t n_ticks)
+      : base{n_sites, n_ticks} {}
+};
 
 struct FleetSimOptions {
   /// Number of shards (contiguous site ranges). 0 = one shard per pool
@@ -37,8 +77,9 @@ struct FleetSimOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Sharded equivalent of run_vm_level_simulation: same inputs, same
-/// result, field-for-field and bit-for-bit.
+/// Run `apps` against `graph` at VM granularity under `scheduler` (the
+/// same Scheduler implementations the app-level simulator uses). The
+/// result does not depend on `options`.
 VmLevelResult run_fleet_simulation(
     const VbGraph& graph, const std::vector<workload::Application>& apps,
     Scheduler& scheduler, const VmLevelConfig& config = {},

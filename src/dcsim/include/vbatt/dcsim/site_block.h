@@ -10,15 +10,16 @@
 // victim's shape inline — so a shard's tick touches a few dense arrays
 // instead of chasing pointers.
 //
-// Semantics are a field-for-field port of Site: choose_first/best/worst
-// fit answer with the exact server id Site would pick, shrink_to uses the
-// same persistent round-robin cursor (advanced by one only when the call
-// had to evict), and fail/repair walk servers lowest-index-first. The
+// Semantics are a field-for-field port of Site under BestFitPolicy (the
+// only policy the VM-level engine uses): place answers with the exact
+// server id Site would pick, shrink_to uses the same persistent
+// round-robin cursor (advanced by one only when the call had to evict),
+// and fail/repair walk servers lowest-index-first. The
 // differential test in tests/test_dcsim_site_block.cpp drives both
 // containers through identical op streams and demands identical answers.
 // What SiteBlock deliberately does not replicate: Site's internal
-// departure calendar (the VM-level engines keep their own app-level
-// calendar and never call collect_departures) and per-VM instance storage
+// departure calendar (the VM-level engine keeps its own app-level
+// calendar and never calls collect_departures) and per-VM instance storage
 // (the engine owns VM identity in its own SoA arrays; SiteBlock only
 // needs each resident's shape, which its victim entries carry).
 #pragma once
@@ -30,10 +31,6 @@
 #include "vbatt/dcsim/site.h"
 
 namespace vbatt::dcsim {
-
-/// The allocation policies the VM-level engines use (a strategy object is
-/// pointless here: the block answers choose queries itself).
-enum class BlockPolicy { first_fit, best_fit, worst_fit };
 
 class SiteBlock {
  public:
@@ -48,7 +45,7 @@ class SiteBlock {
   };
 
   /// One config per site in the block (empty = inert block). All sites
-  /// must share one ServerSpec (the VM-level engines size every site from
+  /// must share one ServerSpec (the VM-level engine sizes every site from
   /// the same config.server); throws std::invalid_argument otherwise.
   explicit SiteBlock(const std::vector<SiteConfig>& configs);
 
@@ -63,11 +60,11 @@ class SiteBlock {
   int active_cores(std::size_t s) const { return sites_[s].allocated_cores; }
   int failed_servers(std::size_t s) const { return sites_[s].failed_servers; }
 
-  /// Choose a server under `policy` and commit the placement. Returns the
-  /// hosting server id (identical to Site::place via the matching
-  /// AllocationPolicy) or -1 when no server fits.
+  /// Choose a server best-fit and commit the placement. Returns the
+  /// hosting server id (identical to Site::place via BestFitPolicy) or -1
+  /// when no server fits.
   int place(std::size_t s, std::int64_t vm_id, int cores, double memory_gb,
-            bool degradable, BlockPolicy policy);
+            bool degradable);
 
   /// Detach one resident VM (departure or migration). The caller names
   /// the hosting server and the VM's shape/class exactly as placed.
@@ -127,12 +124,8 @@ class SiteBlock {
   /// current victim of `server`.
   void detach(SiteState& site, int server, const Victim& entry);
 
-  int choose_first_fit(const SiteState& site, int cores,
-                       double memory_gb) const;
   int choose_best_fit(const SiteState& site, int cores,
                       double memory_gb) const;
-  int choose_worst_fit(const SiteState& site, int cores,
-                       double memory_gb) const;
   /// Lowest-index fitting server in bucket `b` of `site`; -1 if none.
   int first_fit_in_bucket(const SiteState& site, int b, int cores,
                           double memory_gb) const;
@@ -187,8 +180,6 @@ class SiteBlock {
   }
   /// Lowest nonempty bucket id in [from, limit), or `limit` if none.
   int next_nonempty(std::size_t s_index, int from, int limit) const;
-  /// Highest nonempty bucket id in [limit, from], or limit - 1 if none.
-  int prev_nonempty(std::size_t s_index, int from, int limit) const;
 };
 
 }  // namespace vbatt::dcsim

@@ -88,24 +88,6 @@ int SiteBlock::next_nonempty(std::size_t s_index, int from, int limit) const {
   }
 }
 
-int SiteBlock::prev_nonempty(std::size_t s_index, int from, int limit) const {
-  if (from < limit) return limit - 1;
-  const std::uint64_t* const mask = bucket_mask_.data() + s_index * mask_words_;
-  auto w = static_cast<std::size_t>(from) / 64;
-  std::uint64_t bits =
-      mask[w] & (~std::uint64_t{0} >>
-                 (63 - static_cast<std::size_t>(from) % 64));
-  for (;;) {
-    if (bits != 0) {
-      const int b = static_cast<int>(
-          w * 64 + (63 - static_cast<std::size_t>(std::countl_zero(bits))));
-      return b >= limit ? b : limit - 1;
-    }
-    if (w == 0) return limit - 1;
-    bits = mask[--w];
-  }
-}
-
 void SiteBlock::move_bucket(const SiteState& site, int server, int old_free,
                             int new_free) {
   // Clamp defensively, as Site does: a shape larger than a server must
@@ -172,20 +154,9 @@ void SiteBlock::detach(SiteState& site, int server, const Victim& entry) {
 }
 
 int SiteBlock::place(std::size_t s, std::int64_t vm_id, int cores,
-                     double memory_gb, bool degradable, BlockPolicy policy) {
+                     double memory_gb, bool degradable) {
   SiteState& site = sites_[s];
-  int server = -1;
-  switch (policy) {
-    case BlockPolicy::first_fit:
-      server = choose_first_fit(site, cores, memory_gb);
-      break;
-    case BlockPolicy::best_fit:
-      server = choose_best_fit(site, cores, memory_gb);
-      break;
-    case BlockPolicy::worst_fit:
-      server = choose_worst_fit(site, cores, memory_gb);
-      break;
-  }
+  const int server = choose_best_fit(site, cores, memory_gb);
   if (server < 0) return -1;
   attach(site, server, vm_id, cores, memory_gb, degradable);
   return server;
@@ -288,30 +259,6 @@ int SiteBlock::first_fit_in_bucket(const SiteState& site, int b, int cores,
   return -1;
 }
 
-int SiteBlock::choose_first_fit(const SiteState& site, int cores,
-                                double memory_gb) const {
-  const int lo = std::clamp(cores, 0, top_ + 1);
-  if (lo > top_) return -1;
-  // Lowest server id across every viable bucket: merge the buckets word
-  // by word so ids come out in index order.
-  for (std::size_t w = 0; w < site.n_words; ++w) {
-    std::uint64_t merged = 0;
-    for (int b = lo; b <= top_; ++b) {
-      if (bucket_count(site, b) > 0) merged |= bucket(site, b)[w];
-    }
-    while (merged != 0) {
-      const auto i = w * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(merged));
-      merged &= merged - 1;
-      const std::size_t idx = site.server_base + i;
-      if (free_cores_[idx] >= cores && free_memory_gb_[idx] >= memory_gb) {
-        return static_cast<int>(i);
-      }
-    }
-  }
-  return -1;
-}
-
 int SiteBlock::choose_best_fit(const SiteState& site, int cores,
                                double memory_gb) const {
   const int lo = std::clamp(cores, 0, top_ + 1);
@@ -359,19 +306,6 @@ int SiteBlock::choose_best_fit(const SiteState& site, int cores,
     }
   }
   return first_empty;
-}
-
-int SiteBlock::choose_worst_fit(const SiteState& site, int cores,
-                                double memory_gb) const {
-  const int lo = std::clamp(cores, 0, top_ + 1);
-  if (lo > top_) return -1;
-  const auto s_index = static_cast<std::size_t>(&site - sites_.data());
-  for (int b = prev_nonempty(s_index, top_, lo); b >= lo;
-       b = prev_nonempty(s_index, b - 1, lo)) {
-    const int hit = first_fit_in_bucket(site, b, cores, memory_gb);
-    if (hit >= 0) return hit;
-  }
-  return -1;
 }
 
 }  // namespace vbatt::dcsim

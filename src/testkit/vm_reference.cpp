@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -16,19 +18,28 @@ using namespace vbatt;
 
 // The pre-index dcsim::Site: flat server array, linear-scan best-fit
 // placement, shrink_to that rebuilds and sorts a by-server table on every
-// call.
+// call, and server outages that scan every resident VM.
 
 struct RefServer {
   int free_cores = 0;
   double free_memory_gb = 0.0;
   int vm_count = 0;
+  bool failed = false;
 };
+
+/// Eviction order within one server: degradable before stable, then vm_id.
+bool evicts_before(const dcsim::VmInstance& a, const dcsim::VmInstance& b) {
+  if (a.vm_class != b.vm_class) {
+    return a.vm_class == workload::VmClass::degradable;
+  }
+  return a.vm_id < b.vm_id;
+}
 
 class RefSite {
  public:
   RefSite(int n_servers, const dcsim::ServerSpec& server) {
     servers_.assign(static_cast<std::size_t>(n_servers),
-                    RefServer{server.cores, server.memory_gb, 0});
+                    RefServer{server.cores, server.memory_gb, 0, false});
   }
 
   int allocated_cores() const { return allocated_cores_; }
@@ -39,7 +50,7 @@ class RefSite {
     int best_free = 0;
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       const RefServer& s = servers_[i];
-      if (s.free_cores < vm.shape.cores ||
+      if (s.failed || s.free_cores < vm.shape.cores ||
           s.free_memory_gb < vm.shape.memory_gb) {
         continue;
       }
@@ -80,10 +91,7 @@ class RefSite {
     for (auto& list : by_server) {
       std::sort(list.begin(), list.end(),
                 [](const dcsim::VmInstance* a, const dcsim::VmInstance* b) {
-                  if (a->vm_class != b->vm_class) {
-                    return a->vm_class == workload::VmClass::degradable;
-                  }
-                  return a->vm_id < b->vm_id;
+                  return evicts_before(*a, *b);
                 });
     }
     const int n = static_cast<int>(servers_.size());
@@ -103,6 +111,38 @@ class RefSite {
     eviction_cursor_ = (eviction_cursor_ + 1) % n;
     for (const std::int64_t id : victim_ids) vms_.erase(id);
     return evicted;
+  }
+
+  /// Take `count` healthy servers offline, lowest index first, evicting
+  /// every resident in eviction order.
+  std::vector<dcsim::VmInstance> fail_servers(int count) {
+    std::vector<dcsim::VmInstance> evicted;
+    for (std::size_t i = 0; i < servers_.size() && count > 0; ++i) {
+      if (servers_[i].failed) continue;
+      --count;
+      std::vector<dcsim::VmInstance> residents;
+      for (const auto& [id, vm] : vms_) {
+        if (static_cast<std::size_t>(vm.server) == i) residents.push_back(vm);
+      }
+      std::sort(residents.begin(), residents.end(), evicts_before);
+      for (const dcsim::VmInstance& vm : residents) {
+        detach(vm);
+        vms_.erase(vm.vm_id);
+        evicted.push_back(vm);
+      }
+      servers_[i].failed = true;
+    }
+    return evicted;
+  }
+
+  /// Return `count` failed servers to service, lowest index first.
+  void repair_servers(int count) {
+    for (RefServer& server : servers_) {
+      if (count == 0) break;
+      if (!server.failed) continue;
+      server.failed = false;
+      --count;
+    }
   }
 
  private:
@@ -136,6 +176,12 @@ struct RefDisplacedVm {
   std::size_t source = 0;
 };
 
+/// A proactive move blocked by a fault, waiting out its backoff.
+struct RefRetry {
+  core::Move move;
+  int attempts = 0;  // failed attempts so far
+};
+
 void erase_id(std::vector<std::int64_t>& ids, std::int64_t id) {
   const auto pos = std::find(ids.begin(), ids.end(), id);
   if (pos != ids.end()) ids.erase(pos);
@@ -150,6 +196,7 @@ core::VmLevelResult reference_vm_run(
   const std::size_t n_sites = graph.n_sites();
   const std::size_t n_ticks = graph.n_ticks();
   core::VmLevelResult result{n_sites, n_ticks};
+  core::SimResult& base = result.base;
 
   std::vector<RefSite> sites;
   sites.reserve(n_sites);
@@ -169,6 +216,26 @@ core::VmLevelResult reference_vm_run(
   state.graph = &graph;
   state.stable_cores.assign(n_sites, 0);
   state.degradable_cores.assign(n_sites, 0);
+  std::vector<int> avail(n_sites, 0);
+
+  // Faults: every branch is gated on `hooks`.
+  core::FaultHooks* const hooks = config.faults.hooks;
+  const core::MoveRetryPolicy& retry = config.faults.retry;
+  std::map<util::Tick, std::vector<RefRetry>> retry_queue;
+  /// Scheduled server repairs: repair tick -> (site, server count).
+  std::map<util::Tick, std::vector<std::pair<std::size_t, int>>> repairs;
+  std::uint64_t topo_epoch = hooks != nullptr ? hooks->topology_epoch() : 0;
+
+  // Scenario extensions: batch overlay and price/carbon meters.
+  const core::ScenarioExtensions* const ext = config.ext;
+  const bool has_overlay =
+      ext != nullptr && ext->batch != nullptr && !ext->batch->empty();
+  workload::BatchOverlay overlay = has_overlay
+                                       ? workload::BatchOverlay{*ext->batch}
+                                       : workload::BatchOverlay{};
+  const energy::SiteSeries* const price = ext != nullptr ? ext->price : nullptr;
+  const energy::SiteSeries* const carbon =
+      ext != nullptr ? ext->carbon : nullptr;
 
   std::unordered_map<std::int64_t, std::size_t> vm_site;
 
@@ -196,6 +263,25 @@ core::VmLevelResult reference_vm_run(
     }
     return removed;
   };
+  /// VMs evicted from site `s` (power shrink or server failure): stable
+  /// ones join the displaced queue, degradable ones pause.
+  const auto absorb_evicted =
+      [&](std::size_t s, const std::vector<dcsim::VmInstance>& evicted) {
+        for (const dcsim::VmInstance& vm : evicted) {
+          vm_site.erase(vm.vm_id);
+          if (vm.vm_class == workload::VmClass::stable) {
+            state.stable_cores[s] -= vm.shape.cores;
+            displaced.push_back(RefDisplacedVm{vm, s});
+          } else {
+            state.degradable_cores[s] -= vm.shape.cores;
+            const auto it = live.find(vm.app_id);
+            if (it != live.end()) {
+              ++it->second.paused_degradable;
+              erase_id(it->second.degradable_ids, vm.vm_id);
+            }
+          }
+        }
+      };
 
   const double hours_per_tick = graph.axis().minutes_per_tick() / 60.0;
   const util::Tick replan_period = scheduler.replan_period_ticks();
@@ -203,6 +289,27 @@ core::VmLevelResult reference_vm_run(
   for (std::size_t i = 0; i < n_ticks; ++i) {
     const auto t = static_cast<util::Tick>(i);
     state.now = t;
+    ++base.completed_ticks;
+
+    // 0. Faults: link transitions apply inside begin_tick, a topology
+    //    epoch advance tells the scheduler, and servers whose outage ends
+    //    now come back empty. Then the tick's power budget.
+    if (hooks != nullptr) {
+      hooks->begin_tick(t);
+      if (hooks->topology_epoch() != topo_epoch) {
+        topo_epoch = hooks->topology_epoch();
+        scheduler.on_topology_change();
+      }
+      if (const auto due = repairs.find(t); due != repairs.end()) {
+        for (const auto& [s, count] : due->second) {
+          sites[s].repair_servers(count);
+        }
+        repairs.erase(due);
+      }
+    }
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      avail[s] = graph.available_cores(s, t);
+    }
 
     // 1. App departures — full sweep of the live map.
     for (auto it = live.begin(); it != live.end();) {
@@ -227,7 +334,8 @@ core::VmLevelResult reference_vm_run(
                        }),
         displaced.end());
 
-    // 2. Replanning.
+    // 2. Replanning. A replan supersedes every outstanding move, retries
+    //    included.
     if (replan_period > 0 && t > 0 && t % replan_period == 0) {
       state.apps.clear();
       for (const auto& [id, app] : live) {
@@ -241,6 +349,7 @@ core::VmLevelResult reference_vm_run(
         state.apps.emplace(id, std::move(summary));
       }
       pending_moves.clear();
+      retry_queue.clear();
       for (core::Move& move : scheduler.replan(state)) {
         pending_moves[move.app_id].push_back(move);
       }
@@ -280,73 +389,113 @@ core::VmLevelResult reference_vm_run(
       if (!placement.scheduled_moves.empty()) {
         pending_moves[app.app_id] = placement.scheduled_moves;
       }
-      ++result.base.apps_placed;
+      ++base.apps_placed;
       live.emplace(app.app_id, std::move(tracked));
       ++next_app;
     }
 
-    // 4. Execute due proactive moves — scan of every pending entry.
+    // 4. Proactive moves. Under faults a move to a blacked-out site or
+    //    across a severed link waits out a capped exponential backoff, and
+    //    is abandoned after retry.max_attempts failed attempts.
+    const auto move_blocked = [&](const RefTrackedApp& app,
+                                  const core::Move& move) {
+      return hooks->site_down(move.to_site, t) ||
+             !graph.latency().connected(app.home, move.to_site);
+    };
+    const auto defer_move = [&](const core::Move& move, int prior_attempts) {
+      const int attempts = prior_attempts + 1;
+      if (attempts >= retry.max_attempts) {
+        ++base.abandoned_moves;
+        return;
+      }
+      util::Tick backoff = retry.base_backoff_ticks;
+      for (int a = 1; a < attempts; ++a) {
+        backoff = std::min(2 * backoff, retry.max_backoff_ticks);
+      }
+      core::Move again = move;
+      again.at_tick = t + std::min(backoff, retry.max_backoff_ticks);
+      retry_queue[again.at_tick].push_back(RefRetry{again, attempts});
+      ++base.retried_moves;
+    };
+    /// Relocate every VM of `app` resident at its home to `move.to_site`.
+    const auto execute_move = [&](RefTrackedApp& app, const core::Move& move) {
+      const std::size_t from = app.home;
+      app.home = move.to_site;
+      bool moved_any = false;
+      for (const std::int64_t id : app.stable_ids) {
+        const auto vm = remove_vm(id, from);
+        if (!vm) continue;
+        if (place_vm(*vm, move.to_site)) {
+          const double gb = vm->shape.memory_gb;
+          base.ledger.record_out(from, t, gb);
+          base.ledger.record_in(move.to_site, t, gb);
+          base.moved_gb[i] += gb;
+          ++result.vm_migrations;
+          moved_any = true;
+        } else {
+          ++result.fragmentation_failures;
+          displaced.push_back(RefDisplacedVm{*vm, from});
+        }
+      }
+      std::vector<std::int64_t> kept;
+      kept.reserve(app.degradable_ids.size());
+      for (const std::int64_t id : app.degradable_ids) {
+        const auto vm = remove_vm(id, from);
+        if (!vm || place_vm(*vm, move.to_site)) {
+          kept.push_back(id);
+        } else {
+          ++app.paused_degradable;
+        }
+      }
+      app.degradable_ids = std::move(kept);
+      if (moved_any) ++base.planned_migrations;
+    };
+    // 4a. Moves due now — scan of every pending entry.
     for (auto& [app_id, moves] : pending_moves) {
       const auto live_it = live.find(app_id);
       if (live_it == live.end()) continue;
       RefTrackedApp& app = live_it->second;
       for (const core::Move& move : moves) {
         if (move.at_tick != t || move.to_site == app.home) continue;
-        const std::size_t from = app.home;
-        app.home = move.to_site;
-        bool moved_any = false;
-        for (const std::int64_t id : app.stable_ids) {
-          const auto vm = remove_vm(id, from);
-          if (!vm) continue;
-          if (place_vm(*vm, move.to_site)) {
-            const double gb = vm->shape.memory_gb;
-            result.base.ledger.record_out(from, t, gb);
-            result.base.ledger.record_in(move.to_site, t, gb);
-            result.base.moved_gb[i] += gb;
-            ++result.vm_migrations;
-            moved_any = true;
+        if (hooks != nullptr && move_blocked(app, move)) {
+          defer_move(move, 0);
+        } else {
+          execute_move(app, move);
+        }
+      }
+    }
+    if (hooks != nullptr) {
+      // 4b. Retries whose backoff expires now.
+      if (const auto due = retry_queue.find(t); due != retry_queue.end()) {
+        const std::vector<RefRetry> batch = std::move(due->second);
+        retry_queue.erase(due);
+        for (const RefRetry& pending : batch) {
+          const auto live_it = live.find(pending.move.app_id);
+          if (live_it == live.end()) continue;
+          RefTrackedApp& app = live_it->second;
+          if (pending.move.to_site == app.home) continue;
+          if (move_blocked(app, pending.move)) {
+            defer_move(pending.move, pending.attempts);
           } else {
-            ++result.fragmentation_failures;
-            displaced.push_back(RefDisplacedVm{*vm, from});
+            execute_move(app, pending.move);
           }
         }
-        std::vector<std::int64_t> kept;
-        kept.reserve(app.degradable_ids.size());
-        for (const std::int64_t id : app.degradable_ids) {
-          const auto vm = remove_vm(id, from);
-          if (!vm) {
-            kept.push_back(id);
-            continue;
-          }
-          if (place_vm(*vm, move.to_site)) {
-            kept.push_back(id);
-          } else {
-            ++app.paused_degradable;
-          }
+      }
+      // 4c. Server failures beginning now evict like a power shrink; the
+      //     servers return at their repair tick.
+      for (const core::ServerOutage& outage : hooks->server_outages_at(t)) {
+        if (outage.site >= n_sites || outage.count <= 0) continue;
+        absorb_evicted(outage.site,
+                       sites[outage.site].fail_servers(outage.count));
+        if (outage.repair_tick > t) {
+          repairs[outage.repair_tick].emplace_back(outage.site, outage.count);
         }
-        app.degradable_ids = std::move(kept);
-        if (moved_any) ++result.base.planned_migrations;
       }
     }
 
     // 5. Power enforcement, serial over sites.
     for (std::size_t s = 0; s < n_sites; ++s) {
-      const int avail = graph.available_cores(s, t);
-      const std::vector<dcsim::VmInstance> evicted = sites[s].shrink_to(avail);
-      for (const dcsim::VmInstance& vm : evicted) {
-        vm_site.erase(vm.vm_id);
-        if (vm.vm_class == workload::VmClass::stable) {
-          state.stable_cores[s] -= vm.shape.cores;
-          displaced.push_back(RefDisplacedVm{vm, s});
-        } else {
-          state.degradable_cores[s] -= vm.shape.cores;
-          const auto it = live.find(vm.app_id);
-          if (it != live.end()) {
-            ++it->second.paused_degradable;
-            erase_id(it->second.degradable_ids, vm.vm_id);
-          }
-        }
-      }
+      absorb_evicted(s, sites[s].shrink_to(avail[s]));
     }
 
     // 6. Re-home displaced stable VMs.
@@ -357,29 +506,27 @@ core::VmLevelResult reference_vm_run(
       if (it == live.end()) continue;
       bool placed = false;
       for (const std::size_t cand : it->second.allowed) {
-        if (graph.available_cores(cand, t) - sites[cand].allocated_cores() <
+        if (avail[cand] - sites[cand].allocated_cores() <
             entry.vm.shape.cores) {
           continue;
         }
         if (place_vm(entry.vm, cand)) {
           const double gb = entry.vm.shape.memory_gb;
           if (cand != entry.source) {
-            result.base.ledger.record_out(entry.source, t, gb);
-            result.base.ledger.record_in(cand, t, gb);
-            result.base.moved_gb[i] += gb;
+            base.ledger.record_out(entry.source, t, gb);
+            base.ledger.record_in(cand, t, gb);
+            base.moved_gb[i] += gb;
             ++result.vm_migrations;
-            ++result.base.forced_migrations;
+            ++base.forced_migrations;
           }
           placed = true;
           break;
         }
       }
       if (!placed) {
-        result.base.displaced_stable_core_ticks += entry.vm.shape.cores;
-        result.base.displaced_by_app[entry.vm.app_id] +=
-            entry.vm.shape.cores;
-        result.base.displaced_stable_cores_per_tick[i] +=
-            entry.vm.shape.cores;
+        base.displaced_stable_core_ticks += entry.vm.shape.cores;
+        base.displaced_by_app[entry.vm.app_id] += entry.vm.shape.cores;
+        base.displaced_stable_cores_per_tick[i] += entry.vm.shape.cores;
         displaced.push_back(entry);
       }
     }
@@ -389,8 +536,7 @@ core::VmLevelResult reference_vm_run(
     //    is the active count.
     for (auto& [id, app] : live) {
       while (app.paused_degradable > 0) {
-        const int headroom = graph.available_cores(app.home, t) -
-                             sites[app.home].allocated_cores();
+        const int headroom = avail[app.home] - sites[app.home].allocated_cores();
         if (headroom < app.app.shape.cores) break;
         dcsim::VmInstance vm;
         vm.vm_id = next_vm_id++;
@@ -402,12 +548,22 @@ core::VmLevelResult reference_vm_run(
         app.degradable_ids.push_back(vm.vm_id);
         --app.paused_degradable;
       }
-      result.base.paused_degradable_vm_ticks += app.paused_degradable;
-      result.base.degradable_active_vm_ticks +=
+      base.paused_degradable_vm_ticks += app.paused_degradable;
+      base.degradable_active_vm_ticks +=
           static_cast<std::int64_t>(app.degradable_ids.size());
     }
 
-    // 8. Energy — per-server scan of every site, every tick.
+    // 7b. Batch overlay on the cores the service VMs leave free.
+    if (has_overlay) {
+      std::vector<std::int64_t> free(n_sites, 0);
+      for (std::size_t s = 0; s < n_sites; ++s) {
+        free[s] = std::max(0, avail[s] - sites[s].allocated_cores());
+      }
+      overlay.step(t, free);
+    }
+
+    // 8. Energy — per-server scan of every site, every tick — priced and
+    //    scored per site.
     for (std::size_t s = 0; s < n_sites; ++s) {
       int powered = 0;
       int active_cores = 0;
@@ -421,95 +577,114 @@ core::VmLevelResult reference_vm_run(
       const double mwh = (powered * config.power.server_idle_watts +
                           active_cores * config.power.watts_per_active_core) *
                          hours_per_tick / 1e6;
-      result.base.energy_mwh += mwh;
-      result.base.energy_mwh_per_tick[i] += mwh;
+      base.energy_mwh += mwh;
+      base.energy_mwh_per_tick[i] += mwh;
+      if (price != nullptr) {
+        const double usd = price->value(s, static_cast<double>(t)) * mwh;
+        base.cost_usd += usd;
+        base.cost_usd_per_tick[i] += usd;
+      }
+      if (carbon != nullptr) {
+        const double kg = carbon->value(s, static_cast<double>(t)) * mwh;
+        base.carbon_kg += kg;
+        base.carbon_kg_per_tick[i] += kg;
+      }
+    }
+
+    // 9. Fault accounting and the end-of-tick observation.
+    if (hooks != nullptr) {
+      const std::int64_t displaced_now = base.displaced_stable_cores_per_tick[i];
+      if (displaced_now > 0) ++base.stable_vm_downtime_ticks;
+      for (std::size_t s = 0; s < n_sites; ++s) {
+        if (hooks->site_degraded(s, t)) ++base.faulted_site_ticks;
+      }
+      core::TickSnapshot snap;
+      snap.t = t;
+      snap.available = &avail;
+      snap.stable_cores = &state.stable_cores;
+      snap.degradable_cores = &state.degradable_cores;
+      snap.displaced_stable_cores = displaced_now;
+      hooks->on_tick_end(snap);
     }
   }
-  result.base.fallback_activations = scheduler.fallback_count();
+  if (has_overlay) {
+    overlay.finalize();
+    base.batch = overlay.stats();
+  }
+  base.fallback_activations = scheduler.fallback_count();
   return result;
 }
 
 std::string diff_vm_results(const core::VmLevelResult& a,
                             const core::VmLevelResult& b,
                             std::size_t n_sites) {
-  std::ostringstream out;
-  const auto mismatch = [&](const char* field, auto lhs, auto rhs) {
-    out << field << ": " << lhs << " != " << rhs;
-    return out.str();
-  };
-  if (a.vm_migrations != b.vm_migrations) {
-    return mismatch("vm_migrations", a.vm_migrations, b.vm_migrations);
+  const core::SimResult& x = a.base;
+  const core::SimResult& y = b.base;
+  using Counter = std::tuple<const char*, std::int64_t, std::int64_t>;
+  for (const auto& [field, lhs, rhs] : std::initializer_list<Counter>{
+           {"vm_migrations", a.vm_migrations, b.vm_migrations},
+           {"fragmentation_failures", a.fragmentation_failures,
+            b.fragmentation_failures},
+           {"powered_server_ticks", a.powered_server_ticks,
+            b.powered_server_ticks},
+           {"apps_placed", x.apps_placed, y.apps_placed},
+           {"planned_migrations", x.planned_migrations, y.planned_migrations},
+           {"forced_migrations", x.forced_migrations, y.forced_migrations},
+           {"displaced_stable_core_ticks", x.displaced_stable_core_ticks,
+            y.displaced_stable_core_ticks},
+           {"paused_degradable_vm_ticks", x.paused_degradable_vm_ticks,
+            y.paused_degradable_vm_ticks},
+           {"degradable_active_vm_ticks", x.degradable_active_vm_ticks,
+            y.degradable_active_vm_ticks},
+           {"faulted_site_ticks", x.faulted_site_ticks, y.faulted_site_ticks},
+           {"retried_moves", x.retried_moves, y.retried_moves},
+           {"abandoned_moves", x.abandoned_moves, y.abandoned_moves},
+           {"stable_vm_downtime_ticks", x.stable_vm_downtime_ticks,
+            y.stable_vm_downtime_ticks},
+           {"fallback_activations", x.fallback_activations,
+            y.fallback_activations},
+           {"completed_ticks", x.completed_ticks, y.completed_ticks}}) {
+    if (lhs != rhs) {
+      return std::string{field} + ": " + std::to_string(lhs) +
+             " != " + std::to_string(rhs);
+    }
   }
-  if (a.fragmentation_failures != b.fragmentation_failures) {
-    return mismatch("fragmentation_failures", a.fragmentation_failures,
-                    b.fragmentation_failures);
+  // Floating-point totals are bit-equal, no tolerance.
+  using Total = std::tuple<const char*, double, double>;
+  for (const auto& [field, lhs, rhs] : std::initializer_list<Total>{
+           {"energy_mwh", x.energy_mwh, y.energy_mwh},
+           {"cost_usd", x.cost_usd, y.cost_usd},
+           {"carbon_kg", x.carbon_kg, y.carbon_kg}}) {
+    if (lhs != rhs) {
+      std::ostringstream out;
+      out.precision(17);
+      out << field << ": " << lhs << " != " << rhs;
+      return out.str();
+    }
   }
-  if (a.powered_server_ticks != b.powered_server_ticks) {
-    return mismatch("powered_server_ticks", a.powered_server_ticks,
-                    b.powered_server_ticks);
-  }
-  if (a.base.apps_placed != b.base.apps_placed) {
-    return mismatch("apps_placed", a.base.apps_placed, b.base.apps_placed);
-  }
-  if (a.base.planned_migrations != b.base.planned_migrations) {
-    return mismatch("planned_migrations", a.base.planned_migrations,
-                    b.base.planned_migrations);
-  }
-  if (a.base.forced_migrations != b.base.forced_migrations) {
-    return mismatch("forced_migrations", a.base.forced_migrations,
-                    b.base.forced_migrations);
-  }
-  if (a.base.displaced_stable_core_ticks !=
-      b.base.displaced_stable_core_ticks) {
-    return mismatch("displaced_stable_core_ticks",
-                    a.base.displaced_stable_core_ticks,
-                    b.base.displaced_stable_core_ticks);
-  }
-  if (a.base.paused_degradable_vm_ticks !=
-      b.base.paused_degradable_vm_ticks) {
-    return mismatch("paused_degradable_vm_ticks",
-                    a.base.paused_degradable_vm_ticks,
-                    b.base.paused_degradable_vm_ticks);
-  }
-  if (a.base.degradable_active_vm_ticks !=
-      b.base.degradable_active_vm_ticks) {
-    return mismatch("degradable_active_vm_ticks",
-                    a.base.degradable_active_vm_ticks,
-                    b.base.degradable_active_vm_ticks);
-  }
-  if (a.base.energy_mwh != b.base.energy_mwh) {  // bit-equal, no tolerance
-    return mismatch("energy_mwh", a.base.energy_mwh, b.base.energy_mwh);
-  }
-  if (a.base.moved_gb != b.base.moved_gb) return "moved_gb series differ";
-  if (a.base.energy_mwh_per_tick != b.base.energy_mwh_per_tick) {
+  if (x.moved_gb != y.moved_gb) return "moved_gb series differ";
+  if (x.energy_mwh_per_tick != y.energy_mwh_per_tick) {
     return "energy_mwh_per_tick series differ";
   }
-  if (a.base.displaced_by_app != b.base.displaced_by_app) {
+  if (x.cost_usd_per_tick != y.cost_usd_per_tick) {
+    return "cost_usd_per_tick series differ";
+  }
+  if (x.carbon_kg_per_tick != y.carbon_kg_per_tick) {
+    return "carbon_kg_per_tick series differ";
+  }
+  if (x.displaced_by_app != y.displaced_by_app) {
     return "displaced_by_app maps differ";
   }
-  if (a.base.displaced_stable_cores_per_tick !=
-      b.base.displaced_stable_cores_per_tick) {
+  if (x.displaced_stable_cores_per_tick != y.displaced_stable_cores_per_tick) {
     return "displaced_stable_cores_per_tick series differ";
   }
   for (std::size_t s = 0; s < n_sites; ++s) {
-    if (a.base.ledger.out_series(s) != b.base.ledger.out_series(s) ||
-        a.base.ledger.in_series(s) != b.base.ledger.in_series(s)) {
+    if (x.ledger.out_series(s) != y.ledger.out_series(s) ||
+        x.ledger.in_series(s) != y.ledger.in_series(s)) {
       return "ledger series differ at site " + std::to_string(s);
     }
   }
-  if (a.base.batch != b.base.batch) return "batch overlay stats differ";
-  if (a.base.cost_usd != b.base.cost_usd) {  // bit-equal, no tolerance
-    return mismatch("cost_usd", a.base.cost_usd, b.base.cost_usd);
-  }
-  if (a.base.carbon_kg != b.base.carbon_kg) {
-    return mismatch("carbon_kg", a.base.carbon_kg, b.base.carbon_kg);
-  }
-  if (a.base.cost_usd_per_tick != b.base.cost_usd_per_tick) {
-    return "cost_usd_per_tick series differ";
-  }
-  if (a.base.carbon_kg_per_tick != b.base.carbon_kg_per_tick) {
-    return "carbon_kg_per_tick series differ";
-  }
+  if (x.batch != y.batch) return "batch overlay stats differ";
   return {};
 }
 

@@ -15,12 +15,12 @@
 //     real-time completion deadline of its own (arXiv 2411.07628's
 //     SLO-backed harvest VMs).
 //
-// BatchOverlay is the shared executor: every simulator (vm_level_sim,
-// fleet_sim, dcsim, the app-level stepper) feeds it the per-site free-core
-// vector once per tick at a serial point, and the overlay's decisions are
-// a pure function of (admitted entities, free vector) — integer-exact, no
-// floating point — so engines that agree on free cores agree bit-for-bit
-// on every batch counter.
+// BatchOverlay is the shared executor: every simulator (fleet_sim and its
+// reference oracle, dcsim, the app-level stepper) feeds it the per-site
+// free-core vector once per tick at a serial point, and the overlay's
+// decisions are a pure function of (admitted entities, free vector) —
+// integer-exact, no floating point — so engines that agree on free cores
+// agree bit-for-bit on every batch counter.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "vbatt/core/vm_level_sim.h"
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/property.h"
 #include "vbatt/testkit/spec.h"
@@ -36,8 +36,8 @@ TEST(VmLevelSimRegress, DisplacedByAppSumsToFleetTotal) {
   // must carry the full total, not stay empty.
   const Scenario sc = make_scenario(Spec::parse(kDisplacedByAppSpec));
   core::GreedyScheduler scheduler;
-  const core::VmLevelResult r = core::run_vm_level_simulation(
-      sc.graph, sc.apps, scheduler, {}, nullptr);
+  const core::VmLevelResult r =
+      core::run_fleet_simulation(sc.graph, sc.apps, scheduler);
   ASSERT_GT(r.base.displaced_stable_core_ticks, 0);
   std::int64_t by_app = 0;
   for (const auto& [app_id, cores] : r.base.displaced_by_app) {
@@ -60,12 +60,15 @@ TEST(VmLevelSimRegress, DegradableTicksCloseUnderPauseResume) {
   expect_replay_ok(kDegradableLawSpec);
 }
 
-// The same stale-id leak made the event-driven engine diverge from the
-// frozen seed engine on degradable-heavy runs.
-// Minimized by: vbatt_fuzz --suite=sim --cases=30 --seed=1
+// The same stale-id leak made the VM-level engine diverge from the frozen
+// reference engine on degradable-heavy runs.
+// Minimized by: vbatt_fuzz --suite=sim --cases=30 --seed=1 (as the since
+// folded sim.engine_diff property; the spec replays under
+// fleet.sharded_diff at one shard).
 constexpr const char* kEngineDiffSpec =
     "seed=2516521525580818058;sites=1;wind=0;days=1;peak=1;trace=model;"
-    "amp=0;period=1;aph100=1;maxvms=1;deg100=0;life=1;prop=sim.engine_diff";
+    "amp=0;period=1;aph100=1;maxvms=1;deg100=0;life=1;shards=1;"
+    "prop=fleet.sharded_diff";
 
 TEST(VmLevelSimRegress, MatchesFrozenSeedEngine) {
   expect_replay_ok(kEngineDiffSpec);

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Graceful shutdown: SIGINT/SIGTERM a `vbatt schedule` run and a vbatt_svc
-# session; both must flush partial results and exit with the interrupted
-# exit code (40) instead of dying mid-write.
+# Graceful shutdown: SIGINT/SIGTERM a `vbatt schedule` run (app-level and
+# --vm-level) and a vbatt_svc session; each must flush partial results and
+# exit with the interrupted exit code (40) instead of dying mid-write.
 #
 # Each signal lands at a point the script controls, never after a sleep,
 # so the outcome does not depend on how fast the host runs the workload:
@@ -39,11 +39,13 @@ check_interrupted() {
     fail "$label: no partial results flushed to stdout"
 }
 
+# interrupt_cli <label> [extra vbatt schedule flags...]
 interrupt_cli() {
-  label="cli_$sig"
+  label="$1_$sig"
+  shift
   fifo="$tmpdir/$label.csv"
   mkfifo "$fifo"
-  "$vbatt" schedule --days=30 --solar=10 --wind=10 --policy=mip \
+  "$vbatt" schedule --days=30 --solar=10 --wind=10 --policy=mip "$@" \
     --chaos-csv="$fifo" >"$tmpdir/$label.out" 2>"$tmpdir/$label.err" &
   pid=$!
   exec 3>"$fifo"  # returns once the run has opened the schedule
@@ -79,8 +81,10 @@ interrupt_svc() {
 }
 
 for sig in INT TERM; do
-  interrupt_cli
+  interrupt_cli cli
+  interrupt_cli cli_vm --vm-level
   interrupt_svc
 done
 
-echo "OK: graceful shutdown verified for vbatt and vbatt_svc (INT, TERM)"
+echo "OK: graceful shutdown verified for vbatt, vbatt --vm-level and" \
+  "vbatt_svc (INT, TERM)"

@@ -1,7 +1,8 @@
-// Directed differentials for the sharded fleet engine: every configuration
-// of shard count and worker pool must reproduce run_vm_level_simulation
-// bit for bit. The random-scenario versions of these checks live in the
-// testkit "fleet" suite; these pin the small deterministic cases.
+// Directed differentials for the VM-level fleet engine: every configuration
+// of shard count and worker pool must reproduce testkit::reference_vm_run
+// bit for bit, under chaos and with scenario extensions too. The
+// random-scenario versions of these checks live in the testkit "fleet"
+// suite; these pin the small deterministic cases.
 #include "vbatt/core/fleet_sim.h"
 
 #include <gtest/gtest.h>
@@ -9,12 +10,12 @@
 #include <vector>
 
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/fault/injector.h"
 #include "vbatt/fault/schedule.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
+#include "vbatt/workload/batch.h"
 
 namespace vbatt::core {
 namespace {
@@ -49,14 +50,15 @@ std::vector<workload::Application> apps_of(int count, int stable = 6,
   return apps;
 }
 
-/// Runs both engines on the same scenario and expects bit-identity across
-/// shard counts 1, 2, and 7, serially and on a 3-lane pool.
+/// Runs the reference and the fleet engine on the same scenario and
+/// expects bit-identity across shard counts 1, 2, and 7, serially and on a
+/// 3-lane pool.
 void expect_engines_agree(const VbGraph& graph,
                           const std::vector<workload::Application>& apps,
                           const VmLevelConfig& config = {}) {
   GreedyScheduler reference_sched;
   const VmLevelResult reference =
-      run_vm_level_simulation(graph, apps, reference_sched, config);
+      testkit::reference_vm_run(graph, apps, reference_sched, config);
   util::ThreadPool pool{3};
   for (const int shards : {1, 2, 7}) {
     for (util::ThreadPool* p :
@@ -74,32 +76,22 @@ void expect_engines_agree(const VbGraph& graph,
   }
 }
 
-TEST(FleetSim, MatchesUnshardedGreedy) {
+TEST(FleetSim, MatchesReferenceGreedy) {
   expect_engines_agree(small_graph(), apps_of(12));
 }
 
-TEST(FleetSim, MatchesUnshardedUnderPressure) {
+TEST(FleetSim, MatchesReferenceUnderPressure) {
   // Oversubscribed fleet: displacement, pausing, and re-home rotation all
   // fire, so the whole coordinator path is exercised.
   expect_engines_agree(small_graph(96 * 3), apps_of(40, 10, 6, 96 * 2));
 }
 
-TEST(FleetSim, MatchesUnshardedAllPlacements) {
-  for (const auto placement : {VmLevelConfig::Placement::best_fit,
-                               VmLevelConfig::Placement::first_fit,
-                               VmLevelConfig::Placement::worst_fit}) {
-    VmLevelConfig config;
-    config.placement = placement;
-    expect_engines_agree(small_graph(), apps_of(15, 6, 4), config);
-  }
-}
-
-TEST(FleetSim, MatchesUnshardedWithMipScheduler) {
+TEST(FleetSim, MatchesReferenceWithMipScheduler) {
   const VbGraph graph = small_graph();
   const auto apps = apps_of(10);
   MipScheduler reference_sched{make_mip24h_config()};
   const VmLevelResult reference =
-      run_vm_level_simulation(graph, apps, reference_sched);
+      testkit::reference_vm_run(graph, apps, reference_sched);
   for (const int shards : {2, 7}) {
     MipScheduler sched{make_mip24h_config()};
     FleetSimOptions options;
@@ -112,13 +104,17 @@ TEST(FleetSim, MatchesUnshardedWithMipScheduler) {
   }
 }
 
-TEST(FleetSim, MatchesUnshardedUnderChaos) {
+/// Fleet engine vs reference under a seeded chaos schedule at shard counts
+/// 1, 2 and 7 on a 3-lane pool; returns the reference result.
+template <typename MakeScheduler>
+VmLevelResult expect_agree_under_chaos(double intensity, std::uint64_t seed,
+                                       const MakeScheduler& make_scheduler) {
   const VbGraph graph = small_graph(96 * 2);
   const auto apps = apps_of(20, 8, 4);
   fault::ChaosConfig chaos;
-  chaos.intensity = 2.0;
+  chaos.intensity = intensity;
   const fault::FaultSchedule schedule =
-      make_chaos_schedule(graph, chaos, /*seed=*/7);
+      make_chaos_schedule(graph, chaos, seed);
 
   // The injector is stateful (noise streams, repair bookkeeping): each run
   // gets its own instance seeded identically.
@@ -126,27 +122,105 @@ TEST(FleetSim, MatchesUnshardedUnderChaos) {
     fault::FaultInjector injector{graph, schedule, /*noise_seed=*/11};
     VmLevelConfig config;
     config.faults.hooks = &injector;
-    return run(injector.graph(), config);
+    auto sched = make_scheduler();
+    return run(injector.graph(), sched, config);
   };
-  const VmLevelResult reference =
-      faulted([&](const VbGraph& g, const VmLevelConfig& config) {
-        GreedyScheduler sched;
-        return run_vm_level_simulation(g, apps, sched, config);
+  const VmLevelResult reference = faulted(
+      [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
+        return testkit::reference_vm_run(g, apps, sched, config);
       });
   util::ThreadPool pool{3};
   for (const int shards : {1, 2, 7}) {
-    const VmLevelResult sharded =
-        faulted([&](const VbGraph& g, const VmLevelConfig& config) {
-          GreedyScheduler sched;
-          FleetSimOptions options;
-          options.n_shards = shards;
-          options.pool = &pool;
-          return run_fleet_simulation(g, apps, sched, config, options);
+    const VmLevelResult sharded = faulted(
+        [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
+          return run_fleet_simulation(g, apps, sched, config,
+                                      FleetSimOptions{shards, &pool});
         });
     EXPECT_EQ("", testkit::diff_vm_results(reference, sharded,
                                            graph.n_sites()))
         << "shards=" << shards;
   }
+  return reference;
+}
+
+TEST(FleetSim, MatchesReferenceUnderChaos) {
+  const VmLevelResult reference =
+      expect_agree_under_chaos(2.0, 7, [] { return GreedyScheduler{}; });
+  EXPECT_GT(reference.base.faulted_site_ticks, 0);
+}
+
+TEST(FleetSim, MatchesReferenceUnderChaosWithMoveRetries) {
+  // mip24h plans proactive moves; at this seed faults block some of them,
+  // so the retry/backoff path runs in both engines.
+  const VmLevelResult reference = expect_agree_under_chaos(
+      3.0, 8, [] { return MipScheduler{make_mip24h_config()}; });
+  EXPECT_GT(reference.base.retried_moves, 0);
+}
+
+/// One wind site, so the fleet's only site is the loaded one.
+VbGraph one_site_graph(std::size_t ticks = 96) {
+  energy::FleetConfig config;
+  config.n_solar = 0;
+  config.n_wind = 1;
+  VbGraphConfig graph_config;
+  graph_config.cores_per_mw = 5.0;
+  return VbGraph{energy::generate_fleet(config, axis15(), ticks),
+                 graph_config};
+}
+
+TEST(FleetSim, ReferenceModelsServerFailure) {
+  // One event: best-fit packs the low-index servers, and a failure takes
+  // those down first, so it evicts resident VMs.
+  const VbGraph graph = one_site_graph();
+  const auto apps = apps_of(10, 6, 3, 96);
+  fault::FaultSchedule schedule;
+  schedule.events.push_back(fault::FaultEvent{
+      fault::FaultKind::server_failure, 40, 70, 0, 0, 0.0, 0.0, 10});
+  const auto faulted = [&](auto&& run) {
+    fault::FaultInjector injector{graph, schedule};
+    VmLevelConfig config;
+    config.faults.hooks = &injector;
+    GreedyScheduler sched;
+    return run(injector.graph(), sched, config);
+  };
+  GreedyScheduler bare_sched;
+  const VmLevelResult bare = testkit::reference_vm_run(graph, apps, bare_sched);
+  const VmLevelResult reference = faulted(
+      [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
+        return testkit::reference_vm_run(g, apps, sched, config);
+      });
+  const VmLevelResult fleet = faulted(
+      [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
+        return run_fleet_simulation(g, apps, sched, config);
+      });
+  EXPECT_GT(reference.base.faulted_site_ticks, 0);
+  EXPECT_GT(reference.base.displaced_stable_core_ticks,
+            bare.base.displaced_stable_core_ticks);
+  EXPECT_NE("", testkit::diff_vm_results(bare, reference, graph.n_sites()));
+  EXPECT_EQ("", testkit::diff_vm_results(reference, fleet, graph.n_sites()));
+}
+
+TEST(FleetSim, ReferenceModelsBatchOverlay) {
+  const VbGraph graph = one_site_graph();
+  const auto apps = apps_of(6);
+  workload::BatchWorkload batch;
+  batch.jobs.push_back(workload::DeadlineJob{1, 4, 8, 160, 90});
+  batch.tasks.push_back(workload::HarvestTask{2, 10, 4, 200, 2, 96});
+  ScenarioExtensions ext;
+  ext.batch = &batch;
+  VmLevelConfig config;
+  config.ext = &ext;
+  GreedyScheduler s1;
+  const VmLevelResult bare = testkit::reference_vm_run(graph, apps, s1);
+  GreedyScheduler s2;
+  const VmLevelResult reference =
+      testkit::reference_vm_run(graph, apps, s2, config);
+  GreedyScheduler s3;
+  const VmLevelResult fleet = run_fleet_simulation(graph, apps, s3, config);
+  EXPECT_EQ(reference.base.batch.deadline_jobs_completed, 1);
+  EXPECT_GT(reference.base.batch.harvest_goodput_core_ticks, 0);
+  EXPECT_NE("", testkit::diff_vm_results(bare, reference, graph.n_sites()));
+  EXPECT_EQ("", testkit::diff_vm_results(reference, fleet, graph.n_sites()));
 }
 
 TEST(FleetSim, DefaultShardCountFollowsPool) {

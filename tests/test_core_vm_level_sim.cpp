@@ -1,4 +1,8 @@
-#include "vbatt/core/vm_level_sim.h"
+// Behaviour of the VM-level engine (run_fleet_simulation at its default
+// single shard): placement, conservation, energy, per-VM eviction, pause
+// and resume. Differential checks against the reference engine live in
+// test_core_fleet_sim.cpp and the fuzz "fleet" suite.
+#include "vbatt/core/fleet_sim.h"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +48,7 @@ TEST(VmLevelSim, PlacesAllApps) {
   const VbGraph graph = small_graph();
   GreedyScheduler greedy;
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps_of(8), greedy);
+      run_fleet_simulation(graph, apps_of(8), greedy);
   EXPECT_EQ(r.base.apps_placed, 8);
   EXPECT_EQ(r.fragmentation_failures, 0);
 }
@@ -53,7 +57,7 @@ TEST(VmLevelSim, LedgerConservation) {
   const VbGraph graph = small_graph(96 * 3);
   GreedyScheduler greedy;
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps_of(25, 8, 4, 96 * 2), greedy);
+      run_fleet_simulation(graph, apps_of(25, 8, 4, 96 * 2), greedy);
   double out_total = 0.0;
   double in_total = 0.0;
   for (std::size_t s = 0; s < graph.n_sites(); ++s) {
@@ -73,26 +77,9 @@ TEST(VmLevelSim, EnergyCountsOnlyPoweredServers) {
   // A single tiny app: best-fit packs it onto one server, so at most one
   // powered server-tick per tick.
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps_of(1, 1, 0), greedy);
+      run_fleet_simulation(graph, apps_of(1, 1, 0), greedy);
   EXPECT_GT(r.base.energy_mwh, 0.0);
   EXPECT_LE(r.powered_server_ticks, static_cast<std::int64_t>(96 * 2));
-}
-
-TEST(VmLevelSim, ConsolidationPowersFewerServersThanSpreading) {
-  const VbGraph graph = small_graph();
-  const auto apps = apps_of(10, 4, 2);
-  VmLevelConfig best;
-  best.placement = VmLevelConfig::Placement::best_fit;
-  VmLevelConfig worst;
-  worst.placement = VmLevelConfig::Placement::worst_fit;
-  GreedyScheduler g1;
-  GreedyScheduler g2;
-  const VmLevelResult consolidated =
-      run_vm_level_simulation(graph, apps, g1, best);
-  const VmLevelResult spread =
-      run_vm_level_simulation(graph, apps, g2, worst);
-  EXPECT_LT(consolidated.powered_server_ticks, spread.powered_server_ticks);
-  EXPECT_LT(consolidated.base.energy_mwh, spread.base.energy_mwh);
 }
 
 TEST(VmLevelSim, PowerDipEvictsIndividualVms) {
@@ -108,7 +95,7 @@ TEST(VmLevelSim, PowerDipEvictsIndividualVms) {
   GreedyScheduler greedy;
   std::vector<workload::Application> apps = apps_of(1, 8, 0, 96);
   apps[0].arrival = 48;
-  const VmLevelResult r = run_vm_level_simulation(graph, apps, greedy);
+  const VmLevelResult r = run_fleet_simulation(graph, apps, greedy);
   EXPECT_GT(r.base.displaced_stable_core_ticks, 0);
 }
 
@@ -123,7 +110,7 @@ TEST(VmLevelSim, DegradableVmsPauseAndResume) {
   GreedyScheduler greedy;
   std::vector<workload::Application> apps = apps_of(1, 0, 8, 96);
   apps[0].arrival = 48;  // noon day one, runs to noon day two
-  const VmLevelResult r = run_vm_level_simulation(graph, apps, greedy);
+  const VmLevelResult r = run_fleet_simulation(graph, apps, greedy);
   EXPECT_GT(r.base.paused_degradable_vm_ticks, 0);  // paused overnight
   EXPECT_EQ(r.base.displaced_stable_core_ticks, 0);
   EXPECT_DOUBLE_EQ(
@@ -136,50 +123,12 @@ TEST(VmLevelSim, MipSchedulerWorksAtVmGranularity) {
   MipSchedulerConfig config = make_mip_config();
   config.clique_k = 2;
   MipScheduler scheduler{config};
-  const VmLevelResult r = run_vm_level_simulation(
+  const VmLevelResult r = run_fleet_simulation(
       graph, apps_of(12, 8, 4, 96 * 2), scheduler);
   EXPECT_EQ(r.base.apps_placed, 12);
   // Proactive app moves translate into per-VM migrations.
   if (r.base.planned_migrations > 0) {
     EXPECT_GE(r.vm_migrations, r.base.planned_migrations);
-  }
-}
-
-TEST(VmLevelSim, ParallelRunIsBitIdenticalToSerial) {
-  // The pool fans per-site power enforcement and energy accounting; every
-  // lane writes only its own site's slots, so the thread count must never
-  // change the answer.
-  const VbGraph graph = small_graph(96 * 3);
-  const auto apps = apps_of(25, 8, 4, 96 * 2);
-  GreedyScheduler g1;
-  GreedyScheduler g2;
-  util::ThreadPool pool{3};
-  const VmLevelResult serial = run_vm_level_simulation(graph, apps, g1);
-  const VmLevelResult parallel =
-      run_vm_level_simulation(graph, apps, g2, {}, &pool);
-
-  EXPECT_EQ(serial.vm_migrations, parallel.vm_migrations);
-  EXPECT_EQ(serial.fragmentation_failures, parallel.fragmentation_failures);
-  EXPECT_EQ(serial.powered_server_ticks, parallel.powered_server_ticks);
-  EXPECT_EQ(serial.base.apps_placed, parallel.base.apps_placed);
-  EXPECT_EQ(serial.base.planned_migrations, parallel.base.planned_migrations);
-  EXPECT_EQ(serial.base.forced_migrations, parallel.base.forced_migrations);
-  EXPECT_EQ(serial.base.displaced_stable_core_ticks,
-            parallel.base.displaced_stable_core_ticks);
-  EXPECT_EQ(serial.base.paused_degradable_vm_ticks,
-            parallel.base.paused_degradable_vm_ticks);
-  EXPECT_EQ(serial.base.degradable_active_vm_ticks,
-            parallel.base.degradable_active_vm_ticks);
-  EXPECT_EQ(serial.base.energy_mwh, parallel.base.energy_mwh);  // bit-equal
-  ASSERT_EQ(serial.base.moved_gb.size(), parallel.base.moved_gb.size());
-  for (std::size_t i = 0; i < serial.base.moved_gb.size(); ++i) {
-    EXPECT_EQ(serial.base.moved_gb[i], parallel.base.moved_gb[i]);
-    EXPECT_EQ(serial.base.energy_mwh_per_tick[i],
-              parallel.base.energy_mwh_per_tick[i]);
-  }
-  for (std::size_t s = 0; s < graph.n_sites(); ++s) {
-    EXPECT_EQ(serial.base.ledger.out_series(s), parallel.base.ledger.out_series(s));
-    EXPECT_EQ(serial.base.ledger.in_series(s), parallel.base.ledger.in_series(s));
   }
 }
 
@@ -191,7 +140,7 @@ TEST(VmLevelSim, AggregateAgreesWithAppLevelSim) {
   GreedyScheduler g1;
   GreedyScheduler g2;
   const SimResult app_level = run_simulation(graph, apps, g1);
-  const VmLevelResult vm_level = run_vm_level_simulation(graph, apps, g2);
+  const VmLevelResult vm_level = run_fleet_simulation(graph, apps, g2);
   const double a = std::accumulate(app_level.moved_gb.begin(),
                                    app_level.moved_gb.end(), 0.0);
   const double b = std::accumulate(vm_level.base.moved_gb.begin(),

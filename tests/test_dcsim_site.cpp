@@ -248,6 +248,26 @@ TEST(AllocationPolicies, WorstFitSpreads) {
   EXPECT_EQ(used_servers, 2);
 }
 
+TEST(AllocationPolicies, ConsolidationPowersFewerServersThanSpreading) {
+  // One VM stream with churn on two identical sites: best-fit packs the
+  // load onto fewer powered servers than worst-fit, so more servers power
+  // down for the same allocated cores (the paper's consolidation effect).
+  Site consolidated{small_site(50, 40, 512.0)};
+  Site spread{small_site(50, 40, 512.0)};
+  BestFitPolicy best;
+  WorstFitPolicy worst;
+  for (std::int64_t id = 0; id < 60; ++id) {
+    ASSERT_TRUE(consolidated.place(vm(id, 4, 16.0), best));
+    ASSERT_TRUE(spread.place(vm(id, 4, 16.0), worst));
+    if (id % 3 == 2) {  // every third arrival, its predecessor departs
+      ASSERT_TRUE(consolidated.remove(id - 1).has_value());
+      ASSERT_TRUE(spread.remove(id - 1).has_value());
+    }
+  }
+  EXPECT_EQ(consolidated.allocated_cores(), spread.allocated_cores());
+  EXPECT_LT(consolidated.powered_servers(), spread.powered_servers());
+}
+
 TEST(AllocationPolicies, AllRefuseWhenNothingFits) {
   Site site{small_site(2, 2)};
   FirstFitPolicy first;

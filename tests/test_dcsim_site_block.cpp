@@ -1,7 +1,7 @@
 // SiteBlock is a flat SoA re-encoding of Site used by the sharded fleet
 // engine; its contract is exact behavioral equality. These tests drive a
 // SiteBlock and a vector of Sites through identical randomized op streams
-// (place under all three policies, remove, shrink, fail, repair) and
+// (best-fit place, remove, shrink, fail, repair) and
 // demand identical server choices, eviction orders, and counters at every
 // step — including block-internal base-offset handling, which only shows
 // up when the block holds several sites of different sizes.
@@ -35,19 +35,6 @@ struct Resident {
   int server;
 };
 
-AllocationPolicy* site_policy(BlockPolicy policy, FirstFitPolicy& first,
-                              BestFitPolicy& best, WorstFitPolicy& worst) {
-  switch (policy) {
-    case BlockPolicy::first_fit:
-      return &first;
-    case BlockPolicy::best_fit:
-      return &best;
-    case BlockPolicy::worst_fit:
-      return &worst;
-  }
-  return &first;
-}
-
 TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
   // Different server counts per site so base offsets and bitset word
   // counts differ across the block.
@@ -64,9 +51,7 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
   SiteBlock block{configs};
   ASSERT_EQ(block.n_sites(), sites.size());
 
-  FirstFitPolicy first;
   BestFitPolicy best;
-  WorstFitPolicy worst;
   util::Rng rng{util::seed_for(2026, "site-block-differential")};
   std::vector<std::vector<Resident>> residents(sites.size());
   std::int64_t next_id = 0;
@@ -79,20 +64,19 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
     const double roll = rng.uniform();
 
     if (roll < 0.50) {
-      // Place with a random policy; both containers must agree on the
-      // server (or both refuse).
+      // Place best-fit; both containers must agree on the server (or both
+      // refuse).
       const int cores =
           rng.chance(0.05) ? 0 : static_cast<int>(rng.below(8)) + 1;
       const double mem =
           rng.chance(0.2) ? 48.0 : static_cast<double>(rng.below(24) + 1);
       const bool degradable = rng.chance(0.4);
-      const auto policy = static_cast<BlockPolicy>(rng.below(3));
-      const int got = block.place(s, next_id, cores, mem, degradable, policy);
+      const int got = block.place(s, next_id, cores, mem, degradable);
       const bool placed = site.place(
           make_vm(next_id, cores, mem,
                   degradable ? workload::VmClass::degradable
                              : workload::VmClass::stable),
-          *site_policy(policy, first, best, worst));
+          best);
       if (placed) {
         const VmInstance* vm = site.find(next_id);
         ASSERT_NE(vm, nullptr);
@@ -184,14 +168,14 @@ TEST(SiteBlock, FailedServersAreInvisibleUntilRepair) {
   std::vector<SiteBlock::Evicted> evicted;
   block.fail_servers(0, 1, evicted);  // takes server 0 offline
   EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(block.place(0, 1, 2, 4.0, false, BlockPolicy::first_fit), 1);
+  EXPECT_EQ(block.place(0, 1, 2, 4.0, false), 1);
   block.fail_servers(0, 1, evicted);  // server 1, evicting the resident
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].vm_id, 1);
-  EXPECT_EQ(block.place(0, 2, 2, 4.0, false, BlockPolicy::first_fit), -1);
+  EXPECT_EQ(block.place(0, 2, 2, 4.0, false), -1);
   block.repair_servers(0, 2);
   EXPECT_EQ(block.failed_servers(0), 0);
-  EXPECT_EQ(block.place(0, 2, 2, 4.0, false, BlockPolicy::first_fit), 0);
+  EXPECT_EQ(block.place(0, 2, 2, 4.0, false), 0);
 }
 
 }  // namespace

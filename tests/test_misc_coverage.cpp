@@ -5,7 +5,7 @@
 #include <numeric>
 #include <set>
 
-#include "vbatt/core/vm_level_sim.h"
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/dcsim/site.h"
 #include "vbatt/util/time.h"
 
@@ -74,8 +74,7 @@ TEST(VmLevelRecovery, DisplacedVmsRehomeWhenPowerReturns) {
   app.n_degradable = 0;
 
   core::GreedyScheduler greedy;
-  const core::VmLevelResult r =
-      core::run_vm_level_simulation(graph, {app}, greedy);
+  const core::VmLevelResult r = core::run_fleet_simulation(graph, {app}, greedy);
   // Displaced during the outage...
   EXPECT_GT(r.base.displaced_stable_core_ticks, 0);
   // ...but bounded by the outage span: recovery happened afterwards.

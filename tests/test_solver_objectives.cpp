@@ -8,8 +8,8 @@
 
 #include <vector>
 
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/cost.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/solver/branch_bound.h"
@@ -219,7 +219,7 @@ TEST(EconDeltaBuild, FullCostSimulationMatchesScratchBuilds) {
     mc.incremental_build = incremental;
     mc.audit = incremental;
     MipScheduler scheduler{mc};
-    return run_vm_level_simulation(graph, apps, scheduler, config, nullptr);
+    return run_fleet_simulation(graph, apps, scheduler, config);
   };
   const VmLevelResult delta = run_with(true);
   const VmLevelResult scratch = run_with(false);

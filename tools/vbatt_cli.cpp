@@ -301,12 +301,14 @@ int cmd_schedule(const Args& args) {
       return 2;
     }
     if (args.flag("vm-level")) {
-      // The pool fans per-site shrink/energy; output is thread-invariant.
+      // One shard per pool lane; output is shard- and thread-invariant.
       core::VmLevelConfig vm_config;
       vm_config.faults.hooks = injector.get();
       vm_config.ext = ext.any() ? &ext : nullptr;
-      const core::VmLevelResult vm = core::run_vm_level_simulation(
-          sim_graph, apps, *scheduler, vm_config, &util::ThreadPool::shared());
+      core::FleetSimOptions fleet_options;
+      fleet_options.pool = &util::ThreadPool::shared();
+      const core::VmLevelResult vm = core::run_fleet_simulation(
+          sim_graph, apps, *scheduler, vm_config, fleet_options);
       result = vm.base;
       std::printf("vm-level: %lld VM migrations, %lld fragmentation "
                   "failures, %lld powered server-ticks\n",
