@@ -44,11 +44,6 @@ struct PolicyRow {
   std::size_t replans = 0;
   double replan_p50_ms = 0.0;
   double replan_p99_ms = 0.0;
-  // Model construction inside the replans, metered by the scheduler:
-  // replan latency decomposes into build + solve, and the incremental
-  // builder should make the build share near-zero after the first replan.
-  double replan_build_p50_ms = 0.0;
-  double replan_build_p99_ms = 0.0;
   struct Recovery {
     std::size_t replayed_records = 0;
     double ms = 0.0;
@@ -114,8 +109,6 @@ PolicyRow run_policy(const svc::Scenario& scenario, const std::string& policy,
   row.replans = live.replan_latencies_ms().size();
   row.replan_p50_ms = percentile(live.replan_latencies_ms(), 50.0);
   row.replan_p99_ms = percentile(live.replan_latencies_ms(), 99.0);
-  row.replan_build_p50_ms = percentile(live.replan_build_latencies_ms(), 50.0);
-  row.replan_build_p99_ms = percentile(live.replan_build_latencies_ms(), 99.0);
   const std::string reference = live.snapshot_bytes();
   live.attach_log(nullptr);
 
@@ -166,8 +159,6 @@ bool write_json(const std::string& path, const svc::Scenario& scenario,
     json.field("replans", row.replans);
     json.field("replan_p50_ms", row.replan_p50_ms);
     json.field("replan_p99_ms", row.replan_p99_ms);
-    json.field("replan_build_p50_ms", row.replan_build_p50_ms);
-    json.field("replan_build_p99_ms", row.replan_build_p99_ms);
     json.begin_array("recovery");
     for (const PolicyRow::Recovery& rec : row.recovery) {
       json.begin_object();
@@ -208,11 +199,10 @@ int main(int argc, char** argv) {
     rows.push_back(run_policy(scenario, policy, recovery_ok));
     const PolicyRow& row = rows.back();
     std::printf("%-7s %6zu events in %8.1f ms (%9.0f ev/s)  replans=%zu "
-                "p50=%.1f ms p99=%.1f ms (build p50=%.2f ms p99=%.2f ms)\n",
+                "p50=%.1f ms p99=%.1f ms\n",
                 row.policy.c_str(), row.events, row.ingest_ms,
                 row.events_per_sec, row.replans, row.replan_p50_ms,
-                row.replan_p99_ms, row.replan_build_p50_ms,
-                row.replan_build_p99_ms);
+                row.replan_p99_ms);
     for (const PolicyRow::Recovery& rec : row.recovery) {
       std::printf("        recovery: %6zu records replayed in %8.1f ms\n",
                   rec.replayed_records, rec.ms);

@@ -447,7 +447,7 @@ VmLevelResult run_fleet_simulation(
 
     // 0. Serial fault prologue: link transitions apply inside begin_tick;
     //    due server repairs are handed to their shards for phase A. A
-    //    topology-epoch advance tells the scheduler to drop warm-start
+    //    topology-epoch advance tells the scheduler to drop cached
     //    state keyed to the old fleet.
     for (Shard& shard : shards) {
       shard.removals.clear();

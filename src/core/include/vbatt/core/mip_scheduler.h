@@ -89,32 +89,6 @@ struct MipSchedulerConfig {
   bool spread_moves_in_bucket = false;
   /// Hard cap on buckets per solve (bounds model size).
   int max_buckets = 32;
-  /// Feed the solver warm starts: each replan seeds an app's MIP with its
-  /// previous round's trajectory, and the MIP-peak stage 2 is seeded with
-  /// the stage-1 optimum. Warm starts are cutoff-only (solve_mip returns
-  /// bit-identical results with or without them), so this is purely a
-  /// performance knob; disabling it is useful for determinism tests.
-  bool warm_start = true;
-  /// Carry solver bases and duals across replans: each app's optimal root
-  /// basis from the last replan seeds the next one (solver::MipBasisHint),
-  /// so the root LP starts dual-feasible and usually re-optimizes in a
-  /// handful of pivots. Unlike `warm_start` this can change which of
-  /// several equal-cost optima the solver lands on, so it is a separate
-  /// knob. Under the default decomposed engine a hint only reaches the
-  /// solves that take the monolithic fallback; the chain DP needs none.
-  /// Hints are invalidated wholesale whenever the
-  /// simulator reports a topology change (on_topology_change) — a basis
-  /// for a fleet that lost a link or a rack describes the wrong polytope.
-  bool reuse_basis = true;
-  /// Reuse the previous structurally-identical model across solves: the
-  /// trajectory MIP's shape is fully determined by (buckets, candidate
-  /// sites, has-current-site), so between replans only the cost vectors
-  /// and the k=0 move-row rhs change. On a cache hit those are patched in
-  /// place instead of rebuilding — the patched model is bitwise-identical
-  /// to a scratch build (same arithmetic, same order), so every engine
-  /// produces the same schedule either way. The cache is dropped wholesale
-  /// by on_topology_change.
-  bool incremental_build = true;
   /// Audit mode, for tests and fuzz properties: every patched model (and
   /// econ coefficient vector) is rebuilt from scratch and must match it
   /// bitwise, and every solve — each lexicographic stage included — is
@@ -140,14 +114,10 @@ class MipScheduler final : public Scheduler {
   }
 
   /// Topology changed under us (link flap, server-failure start/repair):
-  /// every persisted basis describes a stale polytope — drop them all and
-  /// let the next replan solve cold. The cached models go too: their
-  /// structure would still be right, but a from-scratch rebuild on epoch
-  /// bumps keeps the invalidation story uniform and cheap to reason about.
+  /// drop the cached models. Their structure would still be right, but a
+  /// from-scratch rebuild on epoch bumps keeps the invalidation story
+  /// uniform and cheap to reason about.
   void on_topology_change() override {
-    basis_hint_invalidations_ +=
-        static_cast<std::int64_t>(basis_hints_.size());
-    basis_hints_.clear();
     model_cache_invalidations_ +=
         static_cast<std::int64_t>(model_cache_.size() + econ_cache_.size());
     model_cache_.clear();
@@ -156,17 +126,6 @@ class MipScheduler final : public Scheduler {
 
   /// Total per-app MIP solves performed (observability / tests).
   std::int64_t solve_count() const noexcept { return solve_count_; }
-
-  /// Cross-replan basis reuse observability: solves whose root was seeded
-  /// from a persisted basis / solves that went cold despite a hint being
-  /// offered / hints dropped by topology invalidation.
-  std::int64_t basis_hint_hits() const noexcept { return basis_hint_hits_; }
-  std::int64_t basis_hint_misses() const noexcept {
-    return basis_hint_misses_;
-  }
-  std::int64_t basis_hint_invalidations() const noexcept {
-    return basis_hint_invalidations_;
-  }
 
   /// Incremental-build observability: models constructed from scratch /
   /// cache hits patched in place / cached models dropped by topology
@@ -177,11 +136,6 @@ class MipScheduler final : public Scheduler {
     return model_cache_invalidations_;
   }
 
-  /// Cumulative wall time spent constructing or patching solver models,
-  /// for replan-latency decomposition (bench_svc reports it alongside
-  /// total replan time). Observability only — never serialized.
-  double model_build_ms() const override { return model_build_ms_; }
-
   /// Fallback-ladder activations: a solver failure (node budget exhausted,
   /// infeasible) first shrinks the horizon to half the buckets, then
   /// degrades to greedy behavior (greedy placement for arrivals, keep the
@@ -191,13 +145,11 @@ class MipScheduler final : public Scheduler {
 
   /// Serialize the placement-bearing caches: cache_now_, bucketized
   /// capacity/load/traffic ledgers, the subgraph ranking, and the
-  /// prev-trajectory incumbents. The forecast cache is NOT serialized —
+  /// committed trajectories. The forecast cache is NOT serialized —
   /// nothing reads it between refreshes, and the next refresh_capacity
-  /// rebuilds it from the graph. Cross-replan basis hints are not
-  /// serialized either and save_state refuses to run with reuse_basis on:
-  /// hints can steer which equal-cost optimum the solver lands on, so a
-  /// restored scheduler could diverge. The service pins reuse_basis (and
-  /// warm_start) off for exactly this reason.
+  /// rebuilds it from the graph. The model caches are not serialized
+  /// either: every cached entry is patched exact before use, so a restored
+  /// scheduler that rebuilds them decides identically.
   void save_state(util::wire::Writer& w) const override;
   void restore_state(util::wire::Reader& r) override;
 
@@ -225,19 +177,13 @@ class MipScheduler final : public Scheduler {
 
   /// Solve the per-app MIP over `sites`. `current_site` engaged for live
   /// apps (moving away from it costs bytes); nullopt for new arrivals.
-  /// `previous` (may be null) is the app's last committed trajectory; it is
-  /// re-aligned to the new horizon and fed to the solver as a warm-start
-  /// incumbent. `hint` (may be null) is the app's persisted cross-replan
-  /// basis; solve_mip consumes and refreshes it in place. `app_id` only
-  /// names the app in audit-mode errors.
+  /// `app_id` only names the app in audit-mode errors.
   std::optional<Trajectory> solve_app(const FleetState& state,
                                       std::int64_t app_id,
                                       int stable_cores, double stable_mem_gb,
                                       util::Tick end_tick,
                                       const std::vector<std::size_t>& sites,
-                                      std::optional<std::size_t> current_site,
-                                      const Trajectory* previous,
-                                      solver::MipBasisHint* hint);
+                                      std::optional<std::size_t> current_site);
 
   /// Commit a trajectory: add loads and planned-move volume to the ledgers
   /// and derive Moves.
@@ -250,13 +196,9 @@ class MipScheduler final : public Scheduler {
   MipSchedulerConfig config_;
   std::int64_t solve_count_ = 0;
   std::int64_t fallback_count_ = 0;
-  std::int64_t basis_hint_hits_ = 0;
-  std::int64_t basis_hint_misses_ = 0;
-  std::int64_t basis_hint_invalidations_ = 0;
   std::int64_t model_builds_ = 0;
   std::int64_t model_patches_ = 0;
   std::int64_t model_cache_invalidations_ = 0;
-  double model_build_ms_ = 0.0;
 
   // Per-replan caches, keyed to the `now` they were computed at.
   util::Tick cache_now_ = -1;
@@ -270,16 +212,15 @@ class MipScheduler final : public Scheduler {
   /// (same bucket boundaries as capacity_). Empty when objective == none.
   std::vector<std::vector<double>> objective_sum_;
   std::vector<RankedSubgraph> ranked_;
-  /// Last committed trajectory per live app; the next replan feeds it back
-  /// to the solver as a warm-start incumbent. Pruned as apps depart.
+  /// Last committed trajectory per live app (see trajectories()). Pruned
+  /// as apps depart.
   std::map<std::int64_t, Trajectory> prev_trajectories_;
-  /// Persisted per-app solver bases + duals (cross-replan warm starts for
-  /// the revised B&B). Pruned with prev_trajectories_; cleared
-  /// wholesale by on_topology_change.
-  std::map<std::int64_t, solver::MipBasisHint> basis_hints_;
   /// Built trajectory models keyed by structural family (buckets,
-  /// candidate-set size, has-current-site); hits are patched in place
-  /// (costs + k=0 rhs) instead of rebuilt. Pure derived state — never
+  /// candidate-set size, has-current-site): the trajectory MIP's shape is
+  /// fully determined by these, so between replans only the cost vectors
+  /// and the k=0 move-row rhs change. Hits are patched in place instead of
+  /// rebuilt, and the patched model is bitwise-identical to a scratch
+  /// build (same arithmetic, same order). Pure derived state — never
   /// serialized; the patch makes any cached entry exact before use.
   /// Cleared wholesale by on_topology_change.
   solver::ModelCache model_cache_;

@@ -87,21 +87,15 @@ class Scheduler {
 
   /// The simulator observed a topology change (FaultHooks::topology_epoch
   /// advanced): a link flap or a server-failure start/repair. Schedulers
-  /// carrying warm-start state across replans (bases, duals) must drop it
-  /// here — it describes a fleet that no longer exists. Default: stateless
-  /// schedulers ignore it.
+  /// caching topology-derived state across replans (built solver models)
+  /// drop it here — it describes a fleet that no longer exists. Default:
+  /// stateless schedulers ignore it.
   virtual void on_topology_change() {}
 
   /// How many times this scheduler degraded to a cheaper decision rung
   /// (e.g. MIP solver timeout -> shrunken horizon -> greedy). Schedulers
   /// without a fallback ladder report 0.
   virtual std::int64_t fallback_count() const { return 0; }
-
-  /// Cumulative wall-clock milliseconds this scheduler spent constructing
-  /// (or incrementally patching) solver models, as opposed to solving
-  /// them. Lets replan latency decompose into build vs solve the same way
-  /// bench_solver reports it. Schedulers without a model stage report 0.
-  virtual double model_build_ms() const { return 0.0; }
 
   /// Serialize decision-bearing internal state (SimStepper save/restore):
   /// everything a placement or replan between now and the next cache

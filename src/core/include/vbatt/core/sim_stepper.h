@@ -21,12 +21,9 @@
 //
 // save()/restore() serialize the complete logical state between ticks
 // (after enforce_and_meter, before the next begin_tick), so a restored
-// stepper continues bit-identically. The scheduler is NOT serialized:
-// recovery constructs a fresh one, which is output-identical only for
-// schedulers that carry no result-bearing state across replans (Greedy
-// always; MipScheduler with warm_start and reuse_basis off — warm starts
-// are cutoff-only, but a basis hint can steer which equal-cost optimum
-// the solver returns, so the service disables both).
+// stepper continues bit-identically. That state includes the scheduler's
+// decision-bearing caches (Scheduler::save_state); restore() expects a
+// freshly constructed scheduler with the same config.
 #pragma once
 
 #include <map>

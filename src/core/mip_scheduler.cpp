@@ -1,7 +1,6 @@
 #include "vbatt/core/mip_scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -139,8 +138,7 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     const FleetState& state, std::int64_t app_id, int stable_cores,
     double stable_mem_gb, util::Tick end_tick,
     const std::vector<std::size_t>& sites,
-    std::optional<std::size_t> current_site, const Trajectory* previous,
-    solver::MipBasisHint* hint) {
+    std::optional<std::size_t> current_site) {
   const int total_buckets = static_cast<int>(committed_moves_gb_.size());
   int b0 = static_cast<int>((state.now - cache_now_) / config_.bucket_ticks);
   b0 = std::clamp(b0, 0, total_buckets - 1);
@@ -284,99 +282,29 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     }
   };
 
-  solver::Model scratch_model;  // used when incremental build is off
-  solver::Model* model_ptr = nullptr;
-  const auto build_t0 = std::chrono::steady_clock::now();
-  if (config_.incremental_build) {
-    const solver::ModelCache::Key key{
-        nb, static_cast<std::int64_t>(n_sites), has_y0 ? 1 : 0};
-    bool fresh = false;
-    solver::Model& cached = model_cache_.get(key, build_scratch, &fresh);
-    if (fresh) {
-      ++model_builds_;
-    } else {
-      patch(cached);
-      ++model_patches_;
-      if (config_.audit) {
-        const solver::Model rebuilt = build_scratch();
-        const std::string diff = solver::diff_models_bitwise(cached, rebuilt);
-        if (!diff.empty()) {
-          throw std::logic_error{
-              "MipScheduler: patched model diverged from scratch build: " +
-              diff};
-        }
-      }
-    }
-    model_ptr = &cached;
-  } else {
-    scratch_model = build_scratch();
+  const solver::ModelCache::Key key{
+      nb, static_cast<std::int64_t>(n_sites), has_y0 ? 1 : 0};
+  bool fresh = false;
+  solver::Model& model = model_cache_.get(key, build_scratch, &fresh);
+  if (fresh) {
     ++model_builds_;
-    model_ptr = &scratch_model;
-  }
-  model_build_ms_ += std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - build_t0)
-                         .count();
-  solver::Model& model = *model_ptr;
-
-  // Warm-start incumbent: the previous round's trajectory re-aligned to
-  // this horizon (held site extended past its end), expressed in this
-  // model's variables. The solver validates it and uses it purely as a
-  // cutoff, so feeding it never changes the schedule.
-  solver::MipWarmStart warm;
-  bool have_warm = false;
-  if (config_.warm_start && previous != nullptr && !previous->sites.empty()) {
-    const util::Tick start = cache_now_ + b0 * config_.bucket_ticks;
-    warm.x.assign(model.n_vars(), 0.0);
-    std::vector<std::size_t> warm_col(static_cast<std::size_t>(nb), 0);
-    have_warm = true;
-    for (int k = 0; k < nb && have_warm; ++k) {
-      const util::Tick tick =
-          start + static_cast<util::Tick>(k) * config_.bucket_ticks;
-      auto j = static_cast<std::ptrdiff_t>(
-          (tick - previous->start) / config_.bucket_ticks);
-      j = std::clamp<std::ptrdiff_t>(
-          j, 0, static_cast<std::ptrdiff_t>(previous->sites.size()) - 1);
-      const std::size_t site = previous->sites[static_cast<std::size_t>(j)];
-      const auto found = std::find(sites.begin(), sites.end(), site);
-      if (found == sites.end()) {
-        have_warm = false;  // previous site left the candidate set
-        break;
-      }
-      const auto s = static_cast<std::size_t>(found - sites.begin());
-      warm.x[x_index(k, s)] = 1.0;
-      warm_col[static_cast<std::size_t>(k)] = s;
-    }
-    if (have_warm) {
-      for (int k = 0; k < nb; ++k) {
-        if (!has_y(k)) continue;
-        for (std::size_t s = 0; s < n_sites; ++s) {
-          const double here =
-              warm_col[static_cast<std::size_t>(k)] == s ? 1.0 : 0.0;
-          const double before =
-              k > 0 ? (warm_col[static_cast<std::size_t>(k - 1)] == s ? 1.0
-                                                                      : 0.0)
-                    : (sites[s] == *current_site ? 1.0 : 0.0);
-          warm.x[y_index(k, s)] = std::max(0.0, here - before);
-        }
+  } else {
+    patch(model);
+    ++model_patches_;
+    if (config_.audit) {
+      const solver::Model rebuilt = build_scratch();
+      const std::string diff = solver::diff_models_bitwise(model, rebuilt);
+      if (!diff.empty()) {
+        throw std::logic_error{
+            "MipScheduler: patched model diverged from scratch build: " +
+            diff};
       }
     }
   }
 
   ++solve_count_;
-  // The persisted basis is consumed and refreshed in place; a shape
-  // mismatch (different horizon or candidate set than last round) is
-  // ignored by the solver and simply replaced, so no validation is needed
-  // here beyond the topology invalidation done in on_topology_change.
-  solver::MipResult primary = solver::solve_mip(
-      model, config_.mip, have_warm ? &warm : nullptr, hint);
+  solver::MipResult primary = solver::solve_mip(model, config_.mip);
   audit_solve(model, primary, "primary");
-  if (hint != nullptr) {
-    if (primary.used_basis_hint) {
-      ++basis_hint_hits_;
-    } else {
-      ++basis_hint_misses_;
-    }
-  }
   if (primary.status != solver::LpStatus::optimal) return std::nullopt;
 
   solver::MipResult chosen = primary;
@@ -448,11 +376,8 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     for (std::size_t v = 0; v < n_structural; ++v) {
       model.vars()[v].cost = econ[v];
     }
-    solver::MipWarmStart econ_warm;
-    if (config_.warm_start) econ_warm.x = primary.x;
     ++solve_count_;
-    solver::MipResult second = solver::solve_mip(
-        model, config_.mip, config_.warm_start ? &econ_warm : nullptr);
+    solver::MipResult second = solver::solve_mip(model, config_.mip);
     audit_solve(model, second, "econ");
     if (second.status == solver::LpStatus::optimal) {
       chosen = second;
@@ -501,27 +426,8 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
           -committed_moves_gb_[static_cast<std::size_t>(b0 + k)]);
       ++peak_rows;
     }
-    // Peak-stage warm start: the incumbent (stage-1 or econ optimum)
-    // satisfies every active cap by construction; the peak variable takes
-    // its implied value.
-    solver::MipWarmStart stage2_warm;
-    if (config_.warm_start) {
-      stage2_warm.x = chosen.x;
-      stage2_warm.x.resize(model.n_vars(), 0.0);
-      double peak_value = 0.0;
-      for (int k = 0; k < nb; ++k) {
-        if (!has_y(k)) continue;
-        double volume = committed_moves_gb_[static_cast<std::size_t>(b0 + k)];
-        for (std::size_t s = 0; s < n_sites; ++s) {
-          volume += stable_mem_gb * chosen.x[y_index(k, s)];
-        }
-        peak_value = std::max(peak_value, volume);
-      }
-      stage2_warm.x[static_cast<std::size_t>(peak)] = peak_value;
-    }
     ++solve_count_;
-    solver::MipResult second = solver::solve_mip(
-        model, config_.mip, config_.warm_start ? &stage2_warm : nullptr);
+    solver::MipResult second = solver::solve_mip(model, config_.mip);
     audit_solve(model, second, "peak");
     // Restore the stage-1 model: peak rows, peak variable, O1 cap, costs.
     for (int r = 0; r < peak_rows; ++r) model.pop_constraint();
@@ -643,12 +549,10 @@ Scheduler::Placement MipScheduler::place(const workload::Application& app,
     if (evaluated >= config_.candidate_subgraphs) break;
     if (candidate.mean_cores < app.stable_cores()) continue;  // hopeless
     ++evaluated;
-    // No persisted basis for arrivals: several candidate subgraphs are
-    // tried and only one wins, so a hint would be refreshed by losers.
     const std::optional<Trajectory> trajectory =
         solve_app(state, app.app_id, app.stable_cores(),
                   app.stable_memory_gb(), end_tick, candidate.sites,
-                  std::nullopt, nullptr, nullptr);
+                  std::nullopt);
     if (trajectory && (!best || trajectory->cost < best->cost)) {
       best = trajectory;
       best_sites = &candidate.sites;
@@ -667,7 +571,7 @@ Scheduler::Placement MipScheduler::place(const workload::Application& app,
   placement.site = best->sites.front();
   placement.scheduled_moves = commit(app.app_id, *best, app.stable_cores(),
                                      app.stable_memory_gb(), std::nullopt);
-  prev_trajectories_[app.app_id] = *best;  // seeds the next replan
+  prev_trajectories_[app.app_id] = *best;
   return placement;
 }
 
@@ -685,30 +589,16 @@ std::vector<Move> MipScheduler::replan(const FleetState& state) {
     return a->app.app_id < b->app.app_id;
   });
 
-  // Drop stored trajectories and bases of departed apps.
-  for (auto it = prev_trajectories_.begin();
-       it != prev_trajectories_.end();) {
-    if (state.apps.find(it->first) == state.apps.end()) {
-      basis_hints_.erase(it->first);
-      it = prev_trajectories_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Drop stored trajectories of departed apps.
+  std::erase_if(prev_trajectories_, [&state](const auto& entry) {
+    return state.apps.find(entry.first) == state.apps.end();
+  });
 
   std::vector<Move> schedule;
   for (const LiveApp* app : live) {
-    const auto prev_it = prev_trajectories_.find(app->app.app_id);
-    const Trajectory* previous =
-        prev_it != prev_trajectories_.end() ? &prev_it->second : nullptr;
-    // One solve per app per replan: its persisted basis (if any) seeds the
-    // root and is refreshed in place for the next round.
-    solver::MipBasisHint* hint =
-        config_.reuse_basis ? &basis_hints_[app->app.app_id] : nullptr;
     const std::optional<Trajectory> trajectory = solve_app(
         state, app->app.app_id, app->app.stable_cores(),
-        app->app.stable_memory_gb(), app->end_tick, app->allowed, app->site,
-        previous, hint);
+        app->app.stable_memory_gb(), app->end_tick, app->allowed, app->site);
     if (!trajectory) continue;
     std::vector<Move> moves =
         commit(app->app.app_id, *trajectory, app->app.stable_cores(),
@@ -728,11 +618,6 @@ MipSchedulerConfig make_mip_config() {
 }
 
 void MipScheduler::save_state(util::wire::Writer& w) const {
-  if (config_.reuse_basis) {
-    throw std::runtime_error{
-        "MipScheduler::save_state: basis hints are not serializable; "
-        "construct the scheduler with reuse_basis=false (see header)"};
-  }
   const auto save_matrix = [&w](const std::vector<std::vector<double>>& m) {
     w.u64(m.size());
     for (const std::vector<double>& row : m) w.vec_f64(row);
@@ -761,10 +646,6 @@ void MipScheduler::save_state(util::wire::Writer& w) const {
 }
 
 void MipScheduler::restore_state(util::wire::Reader& r) {
-  if (config_.reuse_basis) {
-    throw std::runtime_error{
-        "MipScheduler::restore_state: construct with reuse_basis=false"};
-  }
   const auto load_matrix = [&r] {
     const std::uint64_t n = r.u64();
     std::vector<std::vector<double>> m;

@@ -66,7 +66,7 @@ void SimStepper::begin_tick(util::Tick t) {
   state_.now = t;
   // Fault bookkeeping for this tick (link up/down transitions apply to the
   // graph inside begin_tick). A topology-epoch advance tells the scheduler
-  // to drop warm-start state keyed to the old fleet.
+  // to drop cached state keyed to the old fleet.
   if (hooks_) {
     hooks_->begin_tick(t);
     if (const std::uint64_t epoch = hooks_->topology_epoch();

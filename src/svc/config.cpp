@@ -120,8 +120,6 @@ std::unique_ptr<core::Scheduler> make_service_scheduler(
     bad_field("policy",
               "must be greedy|mip|mip24h|mippeak, got '" + policy + "'");
   }
-  mip.warm_start = false;
-  mip.reuse_basis = false;
   return std::make_unique<core::MipScheduler>(mip);
 }
 

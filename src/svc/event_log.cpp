@@ -65,7 +65,12 @@ EventLogContents read_event_log(const std::string& path) {
     const std::string_view payload =
         std::string_view{bytes}.substr(pos + 8, length);
     if (util::wire::crc32(payload.data(), payload.size()) != crc) {
-      break;  // corrupt record: drop it and everything after
+      // Only the frame ending exactly at EOF can be a torn write; a bad
+      // CRC anywhere else would silently drop accepted events after it.
+      if (pos + 8 + length == bytes.size()) break;
+      throw std::runtime_error{"read_event_log: " + path +
+                               ": corrupt record at byte offset " +
+                               std::to_string(pos)};
     }
     contents.records.emplace_back(payload);
     pos += 8 + length;

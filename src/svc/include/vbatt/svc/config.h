@@ -34,9 +34,8 @@ struct HealthConfig {
 };
 
 struct ServiceConfig {
-  /// Scheduler policy: greedy | mip | mip24h | mippeak. The service always
-  /// builds MIP schedulers with warm_start and reuse_basis off so a
-  /// recovered scheduler is a pure function of the replayed fleet state.
+  /// Scheduler policy: greedy | mip | mip24h | mippeak, built by
+  /// make_service_scheduler exactly as the CLI builds it.
   std::string policy = "mip";
   HealthConfig health{};
   /// Seed for forecast-noise child streams of streamed fault reports.
@@ -59,10 +58,8 @@ void validate_service_config(const ServiceConfig& config);
 /// name. Throws without modifying `config` on any error.
 void apply_reconfigure(ServiceConfig& config, std::string_view spec);
 
-/// The scheduler the service runs: same policies as the CLI, but MIP warm
-/// starts and basis reuse are disabled so a scheduler rebuilt during
-/// recovery is a pure function of the replayed fleet state (see
-/// sim_stepper.h on why that pins output identity). Used by both the
+/// The scheduler the service runs: the CLI's policies, built from the
+/// same make_*_config() factories unmodified. Used by both the
 /// ControlPlane and the batch side of the equivalence check, so the two
 /// cannot drift apart.
 std::unique_ptr<core::Scheduler> make_service_scheduler(

@@ -3,11 +3,13 @@
 // File layout: an 8-byte magic ("VBEVLOG1"), then zero or more records of
 //   u32 payload length | u32 CRC-32 of the payload | payload bytes
 // all little-endian. Appends are flushed record-by-record, so after a
-// crash the file is a clean prefix plus at most one torn record. The
-// reader walks records until the first torn or CRC-failing one and drops
-// everything from there — a torn tail is an expected artifact of dying
-// mid-write, never an error. Recovery = snapshot + replay of the surviving
-// records (service.h owns that protocol; this file only moves bytes).
+// crash the file is a clean prefix plus at most one torn record: a
+// partial frame running past EOF, or a CRC-failing frame that ends exactly
+// at EOF. The reader drops such a tail — an expected artifact of dying
+// mid-write, never an error. A CRC failure on any other record is
+// corruption, not a crash artifact, and is a named error. Recovery =
+// snapshot + replay of the surviving records (service.h owns that
+// protocol; this file only moves bytes).
 #pragma once
 
 #include <cstdint>
@@ -49,8 +51,10 @@ struct EventLogContents {
   bool torn_tail() const noexcept { return dropped_bytes != 0; }
 };
 
-/// Read every clean record of `path`. Throws only on a missing file or a
-/// bad magic — torn/corrupt tails are tolerated and reported, not fatal.
+/// Read every clean record of `path`. Throws std::runtime_error on a
+/// missing file, a bad magic, or a CRC failure on any record but the
+/// final one (naming the path and the record's byte offset) — a torn
+/// tail is tolerated and reported, not fatal.
 EventLogContents read_event_log(const std::string& path);
 
 /// Cut `path` down to `clean_bytes` (drop a torn tail before reopening

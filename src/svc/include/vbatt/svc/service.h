@@ -109,14 +109,6 @@ class ControlPlane {
     return replan_ms_;
   }
 
-  /// Model-construction milliseconds inside each replan (the scheduler's
-  /// own meter, so incremental builds show up as near-zero entries);
-  /// index-aligned with replan_latencies_ms. Zero for schedulers that
-  /// build no models. Observability only, like the latencies.
-  const std::vector<double>& replan_build_latencies_ms() const noexcept {
-    return replan_build_ms_;
-  }
-
   /// Finalize and move the SimResult out (the stepper is spent; the
   /// service accepts no further events).
   core::SimResult finish();
@@ -158,7 +150,6 @@ class ControlPlane {
 
   std::unique_ptr<EventLogWriter> log_;
   std::vector<double> replan_ms_;
-  std::vector<double> replan_build_ms_;
   bool finished_ = false;
 };
 

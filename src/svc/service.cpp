@@ -242,7 +242,6 @@ void ControlPlane::advance_one_tick() {
   const util::Tick period = scheduler_->replan_period_ticks();
   const bool cadence = period > 0 && t > 0 && t % period == 0;
   if (replan_trigger_ || cadence) {
-    const double build0 = scheduler_->model_build_ms();
     const auto t0 = std::chrono::steady_clock::now();
     if (cadence && !replan_trigger_) {
       stepper_->maybe_replan();
@@ -253,9 +252,6 @@ void ControlPlane::advance_one_tick() {
     const auto t1 = std::chrono::steady_clock::now();
     replan_ms_.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
-    // Model construction inside this replan, from the scheduler's own
-    // cumulative meter: solve time is replan_ms - build.
-    replan_build_ms_.push_back(scheduler_->model_build_ms() - build0);
   }
 
   for (const workload::Application& app : pending_arrivals_) {

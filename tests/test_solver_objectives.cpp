@@ -115,7 +115,6 @@ MipSchedulerConfig econ_delta_config(const energy::SiteSeries* price) {
   MipSchedulerConfig config = make_mip_cost_config(price);
   config.clique_k = 2;
   config.horizon_ticks = 96;
-  config.incremental_build = true;
   // Audit every patched model AND every patched econ-coefficient vector
   // against a scratch rebuild: one diverging bit throws std::logic_error.
   config.audit = true;
@@ -179,31 +178,29 @@ TEST(EconDeltaBuild, TopologyEpochInvalidationDropsTheEconCache) {
   EXPECT_GE(invalidated.model_cache_invalidations(), 2);
   EXPECT_GE(invalidated.model_build_count(), 2);
 
-  // The rebuilt schedule is bit-identical to one from a scheduler that
-  // never cached anything.
-  MipSchedulerConfig scratch_config = econ_delta_config(&price);
-  scratch_config.incremental_build = false;
-  scratch_config.audit = false;
-  MipScheduler scratch{scratch_config};
-  const std::vector<Move> scratch_moves =
-      drive(scratch, graph, /*invalidate=*/true);
-  EXPECT_EQ(scratch.model_patch_count(), 0);
+  // The rebuilt schedule is bit-identical to the one a scheduler computes
+  // from its patched caches (audit mode checks each patch against a
+  // scratch build).
+  MipScheduler patched{econ_delta_config(&price)};
+  const std::vector<Move> patched_moves =
+      drive(patched, graph, /*invalidate=*/false);
+  EXPECT_EQ(patched.model_cache_invalidations(), 0);
 
-  ASSERT_EQ(after_fault.size(), scratch_moves.size());
-  for (std::size_t i = 0; i < scratch_moves.size(); ++i) {
-    EXPECT_EQ(after_fault[i].app_id, scratch_moves[i].app_id);
-    EXPECT_EQ(after_fault[i].to_site, scratch_moves[i].to_site);
-    EXPECT_EQ(after_fault[i].at_tick, scratch_moves[i].at_tick);
+  ASSERT_EQ(after_fault.size(), patched_moves.size());
+  for (std::size_t i = 0; i < patched_moves.size(); ++i) {
+    EXPECT_EQ(after_fault[i].app_id, patched_moves[i].app_id);
+    EXPECT_EQ(after_fault[i].to_site, patched_moves[i].to_site);
+    EXPECT_EQ(after_fault[i].at_tick, patched_moves[i].at_tick);
   }
   // And the committed econ stage values agree exactly.
-  ASSERT_EQ(invalidated.trajectories().size(), scratch.trajectories().size());
+  ASSERT_EQ(invalidated.trajectories().size(), patched.trajectories().size());
   for (const auto& [app_id, trajectory] : invalidated.trajectories()) {
     EXPECT_EQ(trajectory.objective_cost,
-              scratch.trajectories().at(app_id).objective_cost);
+              patched.trajectories().at(app_id).objective_cost);
   }
 }
 
-TEST(EconDeltaBuild, FullCostSimulationMatchesScratchBuilds) {
+TEST(EconDeltaBuild, AuditedCostSimulationMatchesProduction) {
   const VbGraph graph = small_graph(192);
   const energy::SiteSeries price = energy::make_price_series(
       {}, graph.axis(), graph.n_sites(), graph.n_ticks());
@@ -214,23 +211,26 @@ TEST(EconDeltaBuild, FullCostSimulationMatchesScratchBuilds) {
   VmLevelConfig config;
   config.ext = &ext;
 
-  const auto run_with = [&](bool incremental) {
+  // The audited run rebuilds every patched model and econ vector from
+  // scratch and certifies every solve; the production run trusts them.
+  const auto run_with = [&](bool audit) {
     MipSchedulerConfig mc = econ_delta_config(&price);
-    mc.incremental_build = incremental;
-    mc.audit = incremental;
+    mc.audit = audit;
     MipScheduler scheduler{mc};
     return run_fleet_simulation(graph, apps, scheduler, config);
   };
-  const VmLevelResult delta = run_with(true);
-  const VmLevelResult scratch = run_with(false);
+  const VmLevelResult audited = run_with(true);
+  const VmLevelResult production = run_with(false);
 
   // Same schedule, same metered spend — exact doubles, not tolerances.
-  EXPECT_EQ(delta.base.apps_placed, scratch.base.apps_placed);
-  EXPECT_EQ(delta.base.planned_migrations, scratch.base.planned_migrations);
-  EXPECT_EQ(delta.base.moved_gb, scratch.base.moved_gb);
-  EXPECT_EQ(delta.base.energy_mwh, scratch.base.energy_mwh);
-  EXPECT_EQ(delta.base.cost_usd, scratch.base.cost_usd);
-  EXPECT_EQ(delta.base.cost_usd_per_tick, scratch.base.cost_usd_per_tick);
+  EXPECT_EQ(audited.base.apps_placed, production.base.apps_placed);
+  EXPECT_EQ(audited.base.planned_migrations,
+            production.base.planned_migrations);
+  EXPECT_EQ(audited.base.moved_gb, production.base.moved_gb);
+  EXPECT_EQ(audited.base.energy_mwh, production.base.energy_mwh);
+  EXPECT_EQ(audited.base.cost_usd, production.base.cost_usd);
+  EXPECT_EQ(audited.base.cost_usd_per_tick,
+            production.base.cost_usd_per_tick);
 }
 
 }  // namespace

@@ -10,9 +10,7 @@
 //    all-bounds-tight boxes, models presolve discharges entirely, and
 //    the per-solve pivot budget.
 //
-// The scheduler-level companion (warm vs cold MipScheduler runs producing
-// identical SimResult) lives at the bottom; CMake registers this binary
-// twice, under VBATT_THREADS=1 and =3.
+// CMake registers this binary twice, under VBATT_THREADS=1 and =3.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,9 +18,6 @@
 #include <limits>
 #include <vector>
 
-#include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/simulation.h"
-#include "vbatt/energy/site.h"
 #include "vbatt/solver/branch_bound.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/solver/simplex.h"
@@ -329,63 +324,3 @@ TEST(Lexicographic, InPlaceRestoresModelExactly) {
 
 }  // namespace
 }  // namespace vbatt::solver
-
-// ---------------------------------------------------------------------------
-// Scheduler-level determinism: warm-started and cold MipScheduler runs must
-// produce identical simulations when both use the revised engine. CMake
-// runs this binary under VBATT_THREADS=1 and VBATT_THREADS=3.
-
-namespace vbatt::core {
-namespace {
-
-SimResult run_policy(bool warm_start) {
-  energy::FleetConfig config;
-  config.n_solar = 2;
-  config.n_wind = 2;
-  config.region_km = 500.0;
-  VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 5.0;
-  const VbGraph graph{
-      energy::generate_fleet(config, util::TimeAxis{15}, 96 * 2),
-      graph_config};
-
-  std::vector<workload::Application> apps;
-  for (int i = 0; i < 8; ++i) {
-    workload::Application app;
-    app.app_id = i;
-    app.arrival = i * 4;
-    app.lifetime_ticks = 96;
-    app.shape = {4, 16.0};
-    app.n_stable = 8;
-    app.n_degradable = 4;
-    apps.push_back(app);
-  }
-
-  MipSchedulerConfig sched_config = make_mip_config();
-  sched_config.mip.engine = solver::MipEngine::revised;
-  sched_config.warm_start = warm_start;
-  MipScheduler scheduler{sched_config};
-  return run_simulation(graph, apps, scheduler);
-}
-
-TEST(MipSchedulerDeterminism, WarmAndColdRunsAreIdentical) {
-  const SimResult warm = run_policy(true);
-  const SimResult cold = run_policy(false);
-  ASSERT_EQ(warm.apps_placed, 8);  // the run must actually exercise solves
-  EXPECT_EQ(warm.apps_placed, cold.apps_placed);
-  EXPECT_EQ(warm.planned_migrations, cold.planned_migrations);
-  EXPECT_EQ(warm.forced_migrations, cold.forced_migrations);
-  EXPECT_EQ(warm.displaced_stable_core_ticks,
-            cold.displaced_stable_core_ticks);
-  EXPECT_EQ(warm.paused_degradable_vm_ticks,
-            cold.paused_degradable_vm_ticks);
-  EXPECT_EQ(warm.degradable_active_vm_ticks,
-            cold.degradable_active_vm_ticks);
-  EXPECT_EQ(warm.energy_mwh, cold.energy_mwh);
-  EXPECT_EQ(warm.moved_gb, cold.moved_gb);
-  EXPECT_EQ(warm.energy_mwh_per_tick, cold.energy_mwh_per_tick);
-  EXPECT_EQ(warm.displaced_by_app, cold.displaced_by_app);
-}
-
-}  // namespace
-}  // namespace vbatt::core

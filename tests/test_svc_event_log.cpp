@@ -103,6 +103,33 @@ TEST(SvcEventLog, CorruptPayloadStopsAtCrc) {
   std::filesystem::remove(path);
 }
 
+TEST(SvcEventLog, MidLogCorruptionIsANamedError) {
+  const auto path = temp_log("midcrc");
+  {
+    EventLogWriter w{path.string(), true};
+    w.append("first record");
+    w.append("second record");
+    w.append("third record");
+  }
+  std::string bytes = slurp(path);
+  // Flip one bit in the *first* record's payload: its frame ends well
+  // before EOF, so this cannot be a torn write.
+  const std::size_t first = kEventLogMagic.size();
+  bytes[first + 8] = static_cast<char>(bytes[first + 8] ^ 0x40);
+  spill(path, bytes);
+  try {
+    (void)read_event_log(path.string());
+    ADD_FAILURE() << "mid-log corruption was not reported";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("byte offset " + std::to_string(first)),
+              std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(SvcEventLog, TruncateDropsTornTailForReopen) {
   const auto path = temp_log("truncate");
   {

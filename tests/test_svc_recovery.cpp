@@ -15,6 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "vbatt/core/mip_scheduler.h"
+#include "vbatt/core/sim_stepper.h"
+#include "vbatt/core/simulation.h"
 #include "vbatt/svc/event_log.h"
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
@@ -199,6 +202,56 @@ TEST(SvcRecovery, SnapshotPlusLogSuffixWithMipScheduler) {
   EXPECT_EQ(b.replay(log.records), 0u);
   EXPECT_EQ(b.snapshot_bytes(), reference);
   std::filesystem::remove(log_path);
+}
+
+/// Step `stepper` through ticks [from, to) of the arrival trace, the loop
+/// run_simulation runs; `next_app` carries the trace cursor across calls.
+void step_ticks(core::SimStepper& stepper,
+                const std::vector<workload::Application>& apps,
+                std::size_t& next_app, util::Tick from, util::Tick to) {
+  for (util::Tick t = from; t < to; ++t) {
+    stepper.begin_tick(t);
+    stepper.process_departures();
+    stepper.maybe_replan();
+    while (next_app < apps.size() && apps[next_app].arrival <= t) {
+      stepper.arrive(apps[next_app]);
+      ++next_app;
+    }
+    stepper.execute_due_moves();
+    stepper.enforce_and_meter();
+  }
+}
+
+TEST(SvcRecovery, StepperSnapshotsWithTheCliMipConfigs) {
+  // The CLI's own scheduler configs, unmodified: a mid-run save restored
+  // into a fresh stepper and a fresh scheduler must finish exactly like
+  // the uninterrupted run.
+  const Scenario scenario = make_scenario(tiny_scenario());
+  const auto n_ticks = static_cast<util::Tick>(scenario.graph.n_ticks());
+  const util::Tick split = n_ticks / 2 + 5;  // between two replans
+  for (const core::MipSchedulerConfig& config :
+       {core::make_mip_config(), core::make_mip24h_config(),
+        core::make_mip_peak_config()}) {
+    SCOPED_TRACE(config.name);
+    core::MipScheduler uninterrupted{config};
+    const std::string want = result_fingerprint(
+        core::run_simulation(scenario.graph, scenario.apps, uninterrupted));
+
+    std::size_t next_app = 0;
+    util::wire::Writer saved;
+    {
+      core::MipScheduler scheduler{config};
+      core::SimStepper stepper{scenario.graph, scheduler};
+      step_ticks(stepper, scenario.apps, next_app, 0, split);
+      stepper.save(saved);
+    }
+    core::MipScheduler scheduler{config};
+    core::SimStepper stepper{scenario.graph, scheduler};
+    util::wire::Reader reader{saved.data()};
+    stepper.restore(reader);
+    step_ticks(stepper, scenario.apps, next_app, split, n_ticks);
+    EXPECT_EQ(result_fingerprint(stepper.take_result()), want);
+  }
 }
 
 TEST(SvcRecovery, RestoreRejectsPolicyMismatchAndCorruption) {
