@@ -53,6 +53,10 @@ struct VbGraphConfig {
 /// Immutable scheduling substrate built from a generated fleet.
 class VbGraph {
  public:
+  /// Builds the sites' forecasts on util::ThreadPool::shared(), sites fanned
+  /// across its lanes; the graph does not depend on VBATT_THREADS. Must
+  /// not be called from a shared-pool worker (parallel_for throws
+  /// std::logic_error there).
   VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config);
 
   std::size_t n_sites() const noexcept { return sites_.size(); }

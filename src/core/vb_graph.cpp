@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "vbatt/util/thread_pool.h"
+
 namespace vbatt::core {
 
 namespace {
@@ -33,6 +35,9 @@ VbGraph::VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config)
   n_ticks_ = fleet.traces.front().size();
 
   const energy::Forecaster forecaster{config.forecaster};
+  // Every long-lived series is allocated here, on the constructing thread;
+  // pool workers only fill forecasts in place. Allocated on the workers, the
+  // graph would spread over per-thread malloc arenas and raise peak RSS.
   sites_.reserve(fleet.specs.size());
   for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
     const energy::SiteSpec& spec = fleet.specs[i];
@@ -48,14 +53,25 @@ VbGraph::VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config)
     site.capacity_cores = static_cast<int>(
         std::lround(spec.peak_mw * config.cores_per_mw));
     site.power_norm = trace.normalized_series();
-    site.forecast_norm.reserve(leads_hours_.size());
-    for (const double lead : leads_hours_) {
-      site.forecast_norm.push_back(config.oracle_forecasts
-                                       ? trace.normalized_series()
-                                       : forecaster.forecast(trace, lead));
-    }
+    site.forecast_norm.assign(leads_hours_.size(),
+                              config.oracle_forecasts
+                                  ? site.power_norm
+                                  : std::vector<double>(n_ticks_));
     sites_.push_back(std::move(site));
   }
+  if (config.oracle_forecasts) return;
+
+  // Each site's forecasts depend on its trace alone and land in its own
+  // pre-sized series, so the fan-out is bit-identical at any lane count.
+  util::ThreadPool::shared().parallel_for(
+      sites_.size(), [&](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i) {
+          for (std::size_t l = 0; l < leads_hours_.size(); ++l) {
+            forecaster.forecast(fleet.traces[i], leads_hours_[l],
+                                sites_[i].forecast_norm[l]);
+          }
+        }
+      });
 }
 
 int VbGraph::available_cores(std::size_t s, util::Tick t) const {

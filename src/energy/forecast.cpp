@@ -21,9 +21,10 @@ std::vector<double> Forecaster::climatology(const PowerTrace& actual) {
   std::vector<double> sum(per_day, 0.0);
   std::vector<std::size_t> count(per_day, 0);
   const auto& series = actual.normalized_series();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    sum[i % per_day] += series[i];
-    ++count[i % per_day];
+  for (std::size_t i = 0, k = 0; i < series.size(); ++i) {
+    sum[k] += series[i];
+    ++count[k];
+    if (++k == per_day) k = 0;
   }
   for (std::size_t i = 0; i < per_day; ++i) {
     sum[i] = count[i] ? sum[i] / static_cast<double>(count[i]) : 0.0;
@@ -33,12 +34,22 @@ std::vector<double> Forecaster::climatology(const PowerTrace& actual) {
 
 std::vector<double> Forecaster::forecast(const PowerTrace& actual,
                                          double lead_hours) const {
+  std::vector<double> out(actual.size());
+  forecast(actual, lead_hours, out);
+  return out;
+}
+
+void Forecaster::forecast(const PowerTrace& actual, double lead_hours,
+                          std::span<double> out) const {
   if (lead_hours < 0.0) {
     throw std::invalid_argument{"forecast: negative lead"};
   }
   const auto& series = actual.normalized_series();
   const std::size_t n = series.size();
-  if (n == 0) return {};
+  if (out.size() != n) {
+    throw std::invalid_argument{"forecast: output size mismatch"};
+  }
+  if (n == 0) return;
   const util::TimeAxis& axis = actual.axis();
   const bool solar = actual.source() == Source::solar;
 
@@ -52,31 +63,25 @@ std::vector<double> Forecaster::forecast(const PowerTrace& actual,
   //    still knows day from night). Centered smoothing is the "oracle
   //    smoothing" surrogate: a weather model legitimately sees the future,
   //    only blurrier the further out.
+  //    Masked moving average: nights contribute neither value nor weight, so
+  //    a multi-day solar smoothing window sees only daytime regimes. The
+  //    ratio is 0 off the mask, so its plain average is the masked
+  //    numerator; the denominator (the mask's average) is an exact count of
+  //    valid ticks over the same clipped window (series.h documents it),
+  //    read from integer prefix counts.
   std::vector<double> ratio(n, 0.0);
-  std::vector<double> valid(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double c = clim[i % per_day];
-    if (c > clim_floor) {
-      ratio[i] = series[i] / c;
-      valid[i] = 1.0;
-    }
+  std::vector<std::size_t> valid_before(n + 1, 0);
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
+    const double c = clim[k];
+    const bool valid = c > clim_floor;
+    if (valid) ratio[i] = series[i] / c;
+    valid_before[i + 1] = valid_before[i] + (valid ? 1 : 0);
+    if (++k == per_day) k = 0;
   }
   const auto window_ticks = static_cast<std::size_t>(std::max<util::Tick>(
       1, axis.from_hours(config_.window_per_lead * lead_hours)));
-  // Masked moving average: nights contribute neither value nor weight, so
-  // a multi-day solar smoothing window sees only daytime regimes.
-  const std::vector<double> num = stats::moving_average(
-      [&] {
-        std::vector<double> masked(n);
-        for (std::size_t i = 0; i < n; ++i) masked[i] = ratio[i] * valid[i];
-        return masked;
-      }(),
-      window_ticks);
-  const std::vector<double> den = stats::moving_average(valid, window_ticks);
-  std::vector<double> smoothed(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (den[i] > 1e-9) smoothed[i] = num[i] / den[i];
-  }
+  const std::size_t half = window_ticks / 2;
+  stats::moving_average(ratio, window_ticks, out);  // out = numerator
 
   // 2. Blend the smoothed ratio toward 1 (= pure climatology) with a weight
   //    that grows with lead.
@@ -102,21 +107,26 @@ std::vector<double> Forecaster::forecast(const PowerTrace& actual,
   const double decay = std::exp(-dt / config_.noise_decay_hours);
   const double step_sigma = sigma * std::sqrt(1.0 - decay * decay);
 
-  std::vector<double> out(n);
   double noise = sigma * rng.normal();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
     noise = noise * decay + step_sigma * rng.normal();
-    const double c = clim[i % per_day];
+    const double c = clim[k];
+    if (++k == per_day) k = 0;
     if (c <= clim_floor) {
       // A forecaster always knows the deterministic near-zero regime
       // (solar night); emit the climatological residue unchanged.
       out[i] = std::clamp(c, 0.0, 1.0);
       continue;
     }
-    const double r_hat = (1.0 - beta) * smoothed[i] + beta * 1.0;
+    const std::size_t lo = i > half ? i - half : 0;
+    const std::size_t hi = std::min(n - 1, i + half);
+    const double den =
+        static_cast<double>(valid_before[hi + 1] - valid_before[lo]) /
+        static_cast<double>(hi - lo + 1);
+    const double smoothed = den > 1e-9 ? out[i] / den : 1.0;
+    const double r_hat = (1.0 - beta) * smoothed + beta * 1.0;
     out[i] = std::clamp(c * r_hat * (1.0 + noise), 0.0, 1.0);
   }
-  return out;
 }
 
 double Forecaster::measured_mape(const PowerTrace& actual, double lead_hours,

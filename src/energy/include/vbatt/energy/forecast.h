@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vbatt/energy/trace.h"
@@ -54,6 +55,12 @@ class Forecaster {
   /// Element t is the prediction for tick t. Values lie in [0, 1].
   std::vector<double> forecast(const PowerTrace& actual,
                                double lead_hours) const;
+
+  /// The same forecast written into `out`, which must have the trace's
+  /// length. Its only allocations are short-lived scratch, so a caller can
+  /// own (and allocate on its own thread) every long-lived series.
+  void forecast(const PowerTrace& actual, double lead_hours,
+                std::span<double> out) const;
 
   /// Empirical climatology of a trace: mean normalized power per
   /// tick-of-day. Returned series has ticks_per_day entries.

@@ -61,7 +61,9 @@ struct Fleet {
   std::size_t size() const noexcept { return specs.size(); }
 };
 
-/// Deterministically generate a fleet per the config.
+/// Deterministically generate a fleet per the config. Each weather front
+/// is generated once and shared by its wind sites; every trace equals its
+/// spec's generate(axis, n_ticks).
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
                      std::size_t n_ticks);
 

@@ -1,5 +1,6 @@
 #include "vbatt/energy/site.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "vbatt/util/rng.h"
@@ -75,9 +76,25 @@ Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
     fleet.specs.push_back(spec);
   }
 
+  // Wind site i loads on front i % n_fronts, and every site of a front
+  // carries the same FrontConfig: generate each front once, from its first
+  // site's spec, and hand it to all of them.
+  const auto first_wind = static_cast<std::size_t>(config.n_solar);
+  const auto n_fronts = static_cast<std::size_t>(config.n_fronts);
+  const auto n_used = std::min(n_fronts, fleet.specs.size() - first_wind);
+  std::vector<std::vector<double>> fronts;
+  for (std::size_t f = 0; f < n_used; ++f) {
+    fronts.push_back(
+        generate_front(fleet.specs[first_wind + f].wind.front, axis, n_ticks));
+  }
   fleet.traces.reserve(fleet.specs.size());
-  for (const SiteSpec& spec : fleet.specs) {
-    fleet.traces.push_back(spec.generate(axis, n_ticks));
+  for (std::size_t s = 0; s < fleet.specs.size(); ++s) {
+    const SiteSpec& spec = fleet.specs[s];
+    fleet.traces.push_back(
+        s < first_wind
+            ? spec.generate(axis, n_ticks)
+            : WindModel{spec.wind}.generate(
+                  axis, n_ticks, fronts[(s - first_wind) % n_fronts]));
   }
   return fleet;
 }

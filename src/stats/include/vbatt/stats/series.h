@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace vbatt::stats {
@@ -16,9 +17,18 @@ std::vector<double> add(const std::vector<double>& a,
 /// Series scaled by a constant.
 std::vector<double> scale(const std::vector<double>& a, double factor);
 
-/// Centered moving average with window `w` (clamped at the edges).
+/// Centered moving average with window `w`. The effective window is
+/// 2*(w/2)+1 points, so an even `w` averages w+1 points. Windows are
+/// clipped at the edges (output i averages a[max(0, i-w/2) ..
+/// min(n-1, i+w/2)]), and each output sums its window left to right from
+/// 0.0 before dividing by the point count.
 std::vector<double> moving_average(const std::vector<double>& a,
                                    std::size_t w);
+
+/// The same average written into `out`, which must have a's size and must
+/// not overlap it; allocates nothing.
+void moving_average(std::span<const double> a, std::size_t w,
+                    std::span<double> out);
 
 /// Exponentially weighted moving average, smoothing factor alpha in (0, 1].
 std::vector<double> ewma(const std::vector<double>& a, double alpha);

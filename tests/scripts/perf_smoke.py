@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Perf smoke: run the small cells of the solver and fleet benches and
-fail on a >25% wall-clock regression against the checked-in baselines.
+fail on a >50% wall-clock regression against the checked-in baselines.
 
 Usage: perf_smoke.py <bench_solver> <bench_scale_dcsim> <repo_root>
 

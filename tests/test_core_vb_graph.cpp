@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "vbatt/energy/site.h"
 
 namespace vbatt::core {
@@ -27,6 +29,34 @@ TEST(VbGraph, BuildsSitesWithCapacity) {
     EXPECT_EQ(site.power_norm.size(), graph.n_ticks());
     EXPECT_EQ(site.forecast_norm.size(),
               config.forecast_leads_hours.size());
+  }
+}
+
+TEST(VbGraph, ForecastsMatchForecasterBitwise) {
+  const energy::Fleet fleet = small_fleet(96 * 9);
+  for (const bool oracle : {false, true}) {
+    VbGraphConfig config;
+    config.oracle_forecasts = oracle;
+    const VbGraph graph{fleet, config};
+    const energy::Forecaster forecaster{config.forecaster};
+    for (std::size_t s = 0; s < graph.n_sites(); ++s) {
+      const energy::PowerTrace& trace = fleet.traces[s];
+      const VbSite& site = graph.site(s);
+      ASSERT_EQ(site.forecast_norm.size(), config.forecast_leads_hours.size());
+      for (std::size_t l = 0; l < site.forecast_norm.size(); ++l) {
+        const std::vector<double> want =
+            oracle ? trace.normalized_series()
+                   : forecaster.forecast(trace,
+                                         config.forecast_leads_hours[l]);
+        const std::vector<double>& got = site.forecast_norm[l];
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "oracle=" << oracle << " site " << s << " lead "
+            << config.forecast_leads_hours[l];
+      }
+    }
   }
 }
 

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "frozen_moving_average.h"
+#include "vbatt/core/vb_graph.h"
 #include "vbatt/energy/solar.h"
 #include "vbatt/energy/wind.h"
 #include "vbatt/stats/series.h"
+#include "vbatt/util/rng.h"
 
 namespace vbatt::energy {
 namespace {
@@ -21,6 +28,106 @@ PowerTrace year_wind() {
   WindConfig config;
   config.start_day_of_year = 0;
   return WindModel{config}.generate(axis15(), 96u * 365u);
+}
+
+// The forecast as first written: climatology ratio smoothed by two frozen
+// moving averages (masked numerator, 0/1-mask denominator), blended and
+// perturbed. Forecaster::forecast must reproduce it bit for bit.
+std::vector<double> reference_forecast(const ForecastConfig& config,
+                                       const PowerTrace& actual,
+                                       double lead_hours) {
+  const auto& series = actual.normalized_series();
+  const std::size_t n = series.size();
+  const util::TimeAxis& axis = actual.axis();
+  const bool solar = actual.source() == Source::solar;
+  const auto per_day = static_cast<std::size_t>(axis.ticks_per_day());
+  std::vector<double> clim(per_day, 0.0);
+  std::vector<std::size_t> count(per_day, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    clim[i % per_day] += series[i];
+    ++count[i % per_day];
+  }
+  for (std::size_t i = 0; i < per_day; ++i) {
+    clim[i] = count[i] ? clim[i] / static_cast<double>(count[i]) : 0.0;
+  }
+  constexpr double clim_floor = 0.02;
+  std::vector<double> ratio(n, 0.0);
+  std::vector<double> valid(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double c = clim[i % per_day];
+    if (c > clim_floor) {
+      ratio[i] = series[i] / c;
+      valid[i] = 1.0;
+    }
+  }
+  std::vector<double> masked(n);
+  for (std::size_t i = 0; i < n; ++i) masked[i] = ratio[i] * valid[i];
+  const auto window_ticks = static_cast<std::size_t>(std::max<util::Tick>(
+      1, axis.from_hours(config.window_per_lead * lead_hours)));
+  const std::vector<double> num = testref::moving_average(masked, window_ticks);
+  const std::vector<double> den = testref::moving_average(valid, window_ticks);
+  const double half_life = solar ? config.beta_half_life_solar_hours
+                                 : config.beta_half_life_wind_hours;
+  const double beta_max = solar ? config.beta_max_solar : config.beta_max_wind;
+  const double beta = lead_hours <= 0.0
+                          ? 0.0
+                          : beta_max * lead_hours / (lead_hours + half_life);
+  const double sigma = (solar ? config.sigma0_solar : config.sigma0_wind) +
+                       (solar ? config.sigma1_solar : config.sigma1_wind) *
+                           std::sqrt(std::max(0.0, lead_hours) / 24.0);
+  util::Rng rng{util::seed_for(config.seed, solar ? "fc-solar" : "fc-wind",
+                               static_cast<std::uint64_t>(lead_hours * 60.0))};
+  const double dt = axis.minutes_per_tick() / 60.0;
+  const double decay = std::exp(-dt / config.noise_decay_hours);
+  const double step_sigma = sigma * std::sqrt(1.0 - decay * decay);
+  std::vector<double> out(n);
+  double noise = sigma * rng.normal();
+  for (std::size_t i = 0; i < n; ++i) {
+    noise = noise * decay + step_sigma * rng.normal();
+    const double c = clim[i % per_day];
+    if (c <= clim_floor) {
+      out[i] = std::clamp(c, 0.0, 1.0);
+      continue;
+    }
+    const double smoothed = den[i] > 1e-9 ? num[i] / den[i] : 1.0;
+    const double r_hat = (1.0 - beta) * smoothed + beta * 1.0;
+    out[i] = std::clamp(c * r_hat * (1.0 + noise), 0.0, 1.0);
+  }
+  return out;
+}
+
+TEST(Forecaster, MatchesFrozenReferenceBitwiseAtEveryDefaultLead) {
+  const Forecaster fc;
+  SolarConfig solar_config;
+  solar_config.seed = 4;
+  WindConfig wind_config;
+  wind_config.seed = 9;
+  const PowerTrace solar =
+      SolarModel{solar_config}.generate(axis15(), 96u * 90u);
+  const PowerTrace wind = WindModel{wind_config}.generate(axis15(), 96u * 90u);
+  for (const PowerTrace* trace : {&solar, &wind}) {
+    for (const double lead : core::VbGraphConfig{}.forecast_leads_hours) {
+      const std::vector<double> got = fc.forecast(*trace, lead);
+      const std::vector<double> want =
+          reference_forecast(fc.config(), *trace, lead);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << to_string(trace->source()) << " lead " << lead;
+    }
+  }
+}
+
+TEST(Forecaster, FillsCallerBufferLikeTheReturningForm) {
+  const Forecaster fc;
+  const PowerTrace wind = WindModel{WindConfig{}}.generate(axis15(), 500);
+  std::vector<double> out(wind.size(), -1.0);
+  fc.forecast(wind, 24.0, out);
+  EXPECT_EQ(out, fc.forecast(wind, 24.0));
+  std::vector<double> wrong(wind.size() + 1);
+  EXPECT_THROW(fc.forecast(wind, 24.0, wrong), std::invalid_argument);
+  EXPECT_THROW(fc.forecast(wind, -1.0, out), std::invalid_argument);
 }
 
 TEST(Forecaster, ValidatesConfig) {

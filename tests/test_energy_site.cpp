@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "vbatt/stats/series.h"
 
 namespace vbatt::energy {
@@ -53,6 +55,28 @@ TEST(Fleet, WindSitesShareFrontsWithAlternatingSign) {
   EXPECT_LT(fleet.specs[2].wind.front_loading_speed, 0.0);
   EXPECT_EQ(fleet.specs[0].wind.front.seed, fleet.specs[2].wind.front.seed);
   EXPECT_NE(fleet.specs[0].wind.front.seed, fleet.specs[1].wind.front.seed);
+}
+
+TEST(EnergySite, SharedFrontsMatchPerSiteGeneration) {
+  for (const int n_fronts : {1, 2, 3}) {
+    FleetConfig config;
+    config.n_solar = 3;
+    config.n_wind = 7;
+    config.n_fronts = n_fronts;
+    config.enable_storms = true;
+    const Fleet fleet = generate_fleet(config, axis15(), 96 * 4);
+    ASSERT_EQ(fleet.traces.size(), fleet.specs.size());
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      const std::vector<double>& got = fleet.traces[s].normalized_series();
+      const std::vector<double> want =
+          fleet.specs[s].generate(axis15(), 96 * 4).normalized_series();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "n_fronts=" << n_fronts << " site " << fleet.specs[s].name;
+    }
+  }
 }
 
 TEST(Fleet, SolarNoonVariesWithLongitude) {

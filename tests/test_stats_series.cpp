@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
+#include "frozen_moving_average.h"
 #include "vbatt/util/rng.h"
 
 namespace vbatt::stats {
@@ -39,6 +41,45 @@ TEST(Series, MovingAverageSmooths) {
 TEST(Series, MovingAverageWindowOneIsIdentity) {
   const std::vector<double> a{3.0, 1.0, 4.0, 1.0, 5.0};
   EXPECT_EQ(moving_average(a, 1), a);
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Series, MovingAverageMatchesFrozenLoopBitwise) {
+  util::Rng rng{17};
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 8640u}) {
+    std::vector<double> noise(n);
+    std::vector<double> mask(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      noise[i] = rng.normal() * 3.0 + rng.uniform();
+      mask[i] = rng.uniform() < 0.6 ? 1.0 : 0.0;
+    }
+    for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                std::size_t{8}, std::size_t{9},
+                                std::size_t{148}, std::size_t{149},
+                                2 * n + 3}) {
+      for (const std::vector<double>* a : {&noise, &mask}) {
+        EXPECT_TRUE(bitwise_equal(moving_average(*a, w),
+                                  testref::moving_average(*a, w)))
+            << "n=" << n << " w=" << w
+            << (a == &mask ? " (0/1 mask)" : " (noise)");
+      }
+    }
+  }
+}
+
+TEST(Series, MovingAverageIntoCallerBuffer) {
+  const std::vector<double> a{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
+  std::vector<double> out(a.size());
+  moving_average(a, 3, out);
+  EXPECT_TRUE(bitwise_equal(out, testref::moving_average(a, 3)));
+  std::vector<double> short_out(a.size() - 1);
+  EXPECT_THROW(moving_average(a, 3, short_out), std::invalid_argument);
+  EXPECT_THROW(moving_average(a, 0, out), std::invalid_argument);
 }
 
 TEST(Series, EwmaConvergesToConstant) {
