@@ -80,11 +80,15 @@ class SimStepper {
   /// Scheduler fallback rungs taken so far, including pre-restore history.
   std::int64_t fallback_activations() const;
 
-  /// Serialize every result-bearing field. Deterministic: equal logical
+  /// Serialize every result-bearing field; per-tick series are written
+  /// without their trailing all-zero ticks. Deterministic: equal logical
   /// states produce equal bytes.
   void save(util::wire::Writer& w) const;
   /// Inverse of save(). The stepper must be freshly constructed against the
-  /// same graph/scheduler/config the saved one used.
+  /// same graph/scheduler/config the saved one used. Zero-pads each series
+  /// back to the horizon; throws std::runtime_error naming the problem on a
+  /// series longer than the horizon, an app on a site out of range, or a
+  /// negative ledger volume.
   void restore(util::wire::Reader& r);
 
  private:

@@ -647,14 +647,14 @@ void MipScheduler::save_state(util::wire::Writer& w) const {
 
 void MipScheduler::restore_state(util::wire::Reader& r) {
   const auto load_matrix = [&r] {
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(8);
     std::vector<std::vector<double>> m;
     m.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) m.push_back(r.vec_f64());
     return m;
   };
   const auto load_sites = [&r] {
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(8);
     std::vector<std::size_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -1,7 +1,10 @@
 #include "vbatt/core/sim_stepper.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 namespace vbatt::core {
 
@@ -379,7 +382,31 @@ SimResult SimStepper::take_result() {
 namespace {
 
 // Version 2 appends the batch-overlay state and the econ ledgers.
-constexpr std::uint32_t kStepperFormatVersion = 2;
+// Version 3 writes every per-tick series without its trailing zeros.
+constexpr std::uint32_t kStepperFormatVersion = 3;
+
+[[noreturn]] void reject(const std::string& what) {
+  throw std::runtime_error{"SimStepper::restore: " + what};
+}
+
+/// `v` without its trailing run of all-zero-bit values: ticks after `now`
+/// are still zero, so a mid-run series is mostly tail. A -0.0 is kept.
+template <typename T>
+std::span<const T> trimmed(const std::vector<T>& v) {
+  std::size_t n = v.size();
+  while (n > 0 && std::bit_cast<std::uint64_t>(v[n - 1]) == 0) --n;
+  return {v.data(), n};
+}
+
+/// Inverse of trimmed(): zero-pad a restored series back to the horizon.
+template <typename T>
+void pad_series(std::vector<T>& v, std::size_t n_ticks, const char* name) {
+  if (v.size() > n_ticks) {
+    reject(std::string{name} + " series has " + std::to_string(v.size()) +
+           " ticks, the horizon has " + std::to_string(n_ticks));
+  }
+  v.resize(n_ticks, T{});
+}
 
 void save_move(util::wire::Writer& w, const Move& m) {
   w.i64(m.app_id);
@@ -421,7 +448,7 @@ LiveApp load_app(util::wire::Reader& r) {
   a.app.n_degradable = static_cast<int>(r.i64());
   a.end_tick = r.i64();
   a.site = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8);
   a.allowed.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     a.allowed.push_back(static_cast<std::size_t>(r.u64()));
@@ -470,11 +497,11 @@ void SimStepper::save(util::wire::Writer& w) const {
     w.i64(id);
   }
 
-  // Result accumulators.
-  w.vec_f64(result_.moved_gb);
+  // Result accumulators; per-tick series end at their last nonzero tick.
+  w.vec_f64(trimmed(result_.moved_gb));
   for (std::size_t s = 0; s < n_sites_; ++s) {
-    w.vec_f64(result_.ledger.out_series(s));
-    w.vec_f64(result_.ledger.in_series(s));
+    w.vec_f64(trimmed(result_.ledger.out_series(s)));
+    w.vec_f64(trimmed(result_.ledger.in_series(s)));
   }
   w.i64(result_.apps_placed);
   w.i64(result_.planned_migrations);
@@ -483,7 +510,7 @@ void SimStepper::save(util::wire::Writer& w) const {
   w.i64(result_.paused_degradable_vm_ticks);
   w.i64(result_.degradable_active_vm_ticks);
   w.f64(result_.energy_mwh);
-  w.vec_f64(result_.energy_mwh_per_tick);
+  w.vec_f64(trimmed(result_.energy_mwh_per_tick));
   w.u64(result_.displaced_by_app.size());
   for (const auto& [id, v] : result_.displaced_by_app) {
     w.i64(id);
@@ -493,16 +520,16 @@ void SimStepper::save(util::wire::Writer& w) const {
   w.i64(result_.retried_moves);
   w.i64(result_.abandoned_moves);
   w.i64(result_.stable_vm_downtime_ticks);
-  w.vec_i64(result_.displaced_stable_cores_per_tick);
+  w.vec_i64(trimmed(result_.displaced_stable_cores_per_tick));
 
   // Scenario extensions (v2): the overlay carries its own definitions, so
   // a restore reproduces it even on a stepper constructed without one.
   w.u8(has_overlay_ ? 1 : 0);
   if (has_overlay_) overlay_.save_state(w);
   w.f64(result_.cost_usd);
-  w.vec_f64(result_.cost_usd_per_tick);
+  w.vec_f64(trimmed(result_.cost_usd_per_tick));
   w.f64(result_.carbon_kg);
-  w.vec_f64(result_.carbon_kg_per_tick);
+  w.vec_f64(trimmed(result_.carbon_kg_per_tick));
 
   // The scheduler's decision-bearing caches ride along: placements between
   // replans read state (capacity/load ledgers, subgraph ranking) that a
@@ -513,8 +540,7 @@ void SimStepper::save(util::wire::Writer& w) const {
 void SimStepper::restore(util::wire::Reader& r) {
   if (const std::uint32_t version = r.u32();
       version != kStepperFormatVersion) {
-    throw std::runtime_error{"SimStepper::restore: unsupported version " +
-                             std::to_string(version)};
+    reject("unsupported version " + std::to_string(version));
   }
   now_ = r.i64();
   state_.now = now_;
@@ -526,6 +552,11 @@ void SimStepper::restore(util::wire::Reader& r) {
   const std::uint64_t n_apps = r.u64();
   for (std::uint64_t i = 0; i < n_apps; ++i) {
     LiveApp app = load_app(r);
+    if (app.site >= n_sites_) {
+      reject("app " + std::to_string(app.app.app_id) + " placed on site " +
+             std::to_string(app.site) + " (fleet has " +
+             std::to_string(n_sites_) + ")");
+    }
     const std::int64_t id = app.app.app_id;
     site_apps_[app.site].insert(id);
     state_.apps.emplace(id, std::move(app));
@@ -534,14 +565,14 @@ void SimStepper::restore(util::wire::Reader& r) {
   state_.degradable_cores = r.vec_int();
   if (state_.stable_cores.size() != n_sites_ ||
       state_.degradable_cores.size() != n_sites_) {
-    throw std::runtime_error{"SimStepper::restore: site count mismatch"};
+    reject("site count mismatch");
   }
 
   pending_.clear();
   const std::uint64_t n_pending = r.u64();
   for (std::uint64_t i = 0; i < n_pending; ++i) {
     const std::int64_t id = r.i64();
-    const std::uint64_t n_moves = r.u64();
+    const std::uint64_t n_moves = r.count(24);
     std::vector<Move>& moves = pending_[id];
     moves.reserve(n_moves);
     for (std::uint64_t k = 0; k < n_moves; ++k) {
@@ -560,7 +591,7 @@ void SimStepper::restore(util::wire::Reader& r) {
   const std::uint64_t n_retry = r.u64();
   for (std::uint64_t i = 0; i < n_retry; ++i) {
     const util::Tick tick = r.i64();
-    const std::uint64_t n_batch = r.u64();
+    const std::uint64_t n_batch = r.count(32);
     std::vector<PendingRetry>& batch = retry_queue_[tick];
     batch.reserve(n_batch);
     for (std::uint64_t k = 0; k < n_batch; ++k) {
@@ -580,13 +611,23 @@ void SimStepper::restore(util::wire::Reader& r) {
 
   result_ = SimResult{n_sites_, n_ticks_};
   result_.moved_gb = r.vec_f64();
+  pad_series(result_.moved_gb, n_ticks_, "moved_gb");
   for (std::size_t s = 0; s < n_sites_; ++s) {
-    const std::vector<double> out = r.vec_f64();
-    const std::vector<double> in = r.vec_f64();
-    for (std::size_t t = 0; t < out.size(); ++t) {
-      const auto tick = static_cast<util::Tick>(t);
-      if (out[t] != 0.0) result_.ledger.record_out(s, tick, out[t]);
-      if (in[t] != 0.0) result_.ledger.record_in(s, tick, in[t]);
+    for (const bool out : {true, false}) {
+      const std::string name =
+          "site " + std::to_string(s) + (out ? " ledger out" : " ledger in");
+      std::vector<double> gb = r.vec_f64();
+      pad_series(gb, n_ticks_, name.c_str());
+      for (std::size_t t = 0; t < gb.size(); ++t) {
+        if (gb[t] < 0.0) reject(name + " has a negative volume");
+        if (gb[t] == 0.0) continue;
+        const auto tick = static_cast<util::Tick>(t);
+        if (out) {
+          result_.ledger.record_out(s, tick, gb[t]);
+        } else {
+          result_.ledger.record_in(s, tick, gb[t]);
+        }
+      }
     }
   }
   result_.apps_placed = r.i64();
@@ -597,8 +638,9 @@ void SimStepper::restore(util::wire::Reader& r) {
   result_.degradable_active_vm_ticks = r.i64();
   result_.energy_mwh = r.f64();
   result_.energy_mwh_per_tick = r.vec_f64();
+  pad_series(result_.energy_mwh_per_tick, n_ticks_, "energy");
   result_.displaced_by_app.clear();
-  const std::uint64_t n_disp = r.u64();
+  const std::uint64_t n_disp = r.count(16);
   for (std::uint64_t i = 0; i < n_disp; ++i) {
     const std::int64_t id = r.i64();
     result_.displaced_by_app[id] = r.i64();
@@ -608,6 +650,7 @@ void SimStepper::restore(util::wire::Reader& r) {
   result_.abandoned_moves = r.i64();
   result_.stable_vm_downtime_ticks = r.i64();
   result_.displaced_stable_cores_per_tick = r.vec_i64();
+  pad_series(result_.displaced_stable_cores_per_tick, n_ticks_, "displaced");
   has_overlay_ = r.u8() != 0;
   if (has_overlay_) {
     overlay_.restore_state(r);
@@ -616,12 +659,10 @@ void SimStepper::restore(util::wire::Reader& r) {
   }
   result_.cost_usd = r.f64();
   result_.cost_usd_per_tick = r.vec_f64();
+  pad_series(result_.cost_usd_per_tick, n_ticks_, "cost");
   result_.carbon_kg = r.f64();
   result_.carbon_kg_per_tick = r.vec_f64();
-  if (result_.moved_gb.size() != n_ticks_ ||
-      result_.energy_mwh_per_tick.size() != n_ticks_) {
-    throw std::runtime_error{"SimStepper::restore: tick count mismatch"};
-  }
+  pad_series(result_.carbon_kg_per_tick, n_ticks_, "carbon");
   if (hooks_) avail_cache_.assign(n_sites_, 0);
   scheduler_.restore_state(r);
 }

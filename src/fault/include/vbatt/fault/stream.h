@@ -27,9 +27,17 @@
 //                            ForecastUpdate events) overriding the
 //                            *baseline* series from a tick onward.
 //
-// save()/restore() serialize baselines plus the accepted-event state (not
-// the derived arrays); restore() re-bakes, so a restored injector is
-// byte-equivalent to the uninterrupted one.
+// save()/restore() serialize the telemetry overrides plus the
+// accepted-event state (not the derived arrays); restore() re-bakes, so a
+// restored injector is byte-equivalent to the uninterrupted one. The
+// baselines themselves are not written: they are the constructor graph's,
+// which a restoring service rebuilds. Only the tick windows whose bits a
+// set_power/set_forecast actually changed travel, with their values — a
+// reading that repeats the graph's own values (scenario_events streams
+// every full series that way) adds none. A fingerprint of the constructor
+// graph (CRC-32 of every pristine series plus the sites/ticks/leads
+// shape) rides along, and restore() refuses a snapshot taken over any
+// other graph by name.
 #pragma once
 
 #include <cstdint>
@@ -96,11 +104,18 @@ class StreamInjector final : public core::FaultHooks {
   std::vector<core::ServerOutage> server_outages_at(util::Tick t) override;
   void on_tick_end(const core::TickSnapshot& snap) override;
 
-  /// Serialize baselines + accepted-event state. Deterministic.
+  /// Serialize the graph fingerprint, telemetry overrides and
+  /// accepted-event state. Deterministic.
   void save(util::wire::Writer& w) const;
   /// Inverse of save(); must be called on a freshly constructed injector
-  /// over the same original graph. Re-bakes every derived series/mask.
+  /// over the same original graph. Throws std::runtime_error naming the
+  /// problem on a fingerprint mismatch (another graph), an override or
+  /// fault window outside the horizon, or a site index out of range.
+  /// Re-bakes every derived series/mask.
   void restore(util::wire::Reader& r);
+
+  /// CRC-32 of the constructor graph's pristine series and shape.
+  std::uint32_t graph_fingerprint() const noexcept { return fingerprint_; }
 
  private:
   struct Window {
@@ -129,9 +144,21 @@ class StreamInjector final : public core::FaultHooks {
   std::size_t n_sites_ = 0;
   std::size_t n_ticks_ = 0;
 
+  /// Write `values` over `base` from `start`, adding the windows whose
+  /// bits changed to `windows`.
+  static void override_series(std::vector<double>& base,
+                              std::vector<Window>& windows, util::Tick start,
+                              const std::vector<double>& values);
+
   /// Pristine per-site series, mutated only by set_power/set_forecast.
   std::vector<std::vector<double>> base_power_;
   std::vector<std::vector<std::vector<double>>> base_forecast_;
+  /// Per site, per series (0 = power, 1 + lead = forecast lead): the
+  /// sorted, disjoint, non-adjacent windows where the baseline's bits
+  /// differ, or once differed, from the constructor graph's. Outside them
+  /// the baseline is the graph's own.
+  std::vector<std::vector<std::vector<Window>>> overrides_;
+  std::uint32_t fingerprint_ = 0;
 
   // Accepted-event state, in acceptance order per site.
   std::vector<std::vector<Window>> blackouts_;

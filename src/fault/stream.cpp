@@ -1,7 +1,10 @@
 #include "vbatt/fault/stream.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -20,6 +23,34 @@ std::pair<std::size_t, std::size_t> canonical_edge(std::size_t a,
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
 
+/// CRC-32 over the graph's shape and every per-site series, as wire bytes
+/// (so the value does not depend on host byte order).
+std::uint32_t fingerprint_of(const core::VbGraph& graph) {
+  util::wire::Writer shape;
+  shape.u64(graph.n_sites());
+  shape.u64(graph.n_ticks());
+  for (const core::VbSite& site : graph.sites()) {
+    shape.u64(site.forecast_norm.size());
+  }
+  std::uint32_t crc = util::wire::crc32(shape.data().data(),
+                                        shape.data().size());
+  for (const core::VbSite& site : graph.sites()) {
+    util::wire::Writer series;
+    series.vec_f64(site.power_norm);
+    for (const std::vector<double>& lead : site.forecast_norm) {
+      series.vec_f64(lead);
+    }
+    crc = util::wire::crc32(series.data().data(), series.data().size(), crc);
+  }
+  return crc;
+}
+
+std::string hex32(std::uint32_t v) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%08x", v);
+  return buf;
+}
+
 }  // namespace
 
 StreamInjector::StreamInjector(const core::VbGraph& graph,
@@ -27,12 +58,15 @@ StreamInjector::StreamInjector(const core::VbGraph& graph,
     : graph_{graph},
       noise_seed_{noise_seed},
       n_sites_{graph.n_sites()},
-      n_ticks_{graph.n_ticks()} {
+      n_ticks_{graph.n_ticks()},
+      fingerprint_{fingerprint_of(graph)} {
   base_power_.reserve(n_sites_);
   base_forecast_.reserve(n_sites_);
+  overrides_.reserve(n_sites_);
   for (const core::VbSite& site : graph_.sites()) {
     base_power_.push_back(site.power_norm);
     base_forecast_.push_back(site.forecast_norm);
+    overrides_.emplace_back(1 + site.forecast_norm.size());
   }
   blackouts_.resize(n_sites_);
   brownouts_.resize(n_sites_);
@@ -165,8 +199,7 @@ void StreamInjector::set_power(std::size_t site, util::Tick start,
   if (static_cast<std::size_t>(start) + values.size() > n_ticks_) {
     reject("set_power: series runs past the horizon");
   }
-  std::copy(values.begin(), values.end(),
-            base_power_[site].begin() + static_cast<std::size_t>(start));
+  override_series(base_power_[site], overrides_[site][0], start, values);
   rebake_site(site);
 }
 
@@ -182,10 +215,47 @@ void StreamInjector::set_forecast(std::size_t site, std::size_t lead,
   if (static_cast<std::size_t>(start) + values.size() > n_ticks_) {
     reject("set_forecast: series runs past the horizon");
   }
-  std::copy(values.begin(), values.end(),
-            base_forecast_[site][lead].begin() +
-                static_cast<std::size_t>(start));
+  override_series(base_forecast_[site][lead], overrides_[site][1 + lead],
+                  start, values);
   rebake_site(site);
+}
+
+void StreamInjector::override_series(std::vector<double>& base,
+                                     std::vector<Window>& windows,
+                                     util::Tick start,
+                                     const std::vector<double>& values) {
+  const auto at = static_cast<std::size_t>(start);
+  std::vector<Window> changed;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(base[at + i]) ==
+        std::bit_cast<std::uint64_t>(values[i])) {
+      continue;
+    }
+    base[at + i] = values[i];
+    const util::Tick t = start + static_cast<util::Tick>(i);
+    if (!changed.empty() && changed.back().end == t) {
+      ++changed.back().end;
+    } else {
+      changed.push_back({t, t + 1});
+    }
+  }
+  if (changed.empty()) return;
+
+  // Union with the windows already recorded, coalescing overlapping and
+  // adjacent ones, so equal histories always record equal window lists.
+  std::vector<Window> all;
+  all.reserve(windows.size() + changed.size());
+  std::merge(windows.begin(), windows.end(), changed.begin(), changed.end(),
+             std::back_inserter(all),
+             [](const Window& a, const Window& b) { return a.start < b.start; });
+  windows.clear();
+  for (const Window& w : all) {
+    if (!windows.empty() && w.start <= windows.back().end) {
+      windows.back().end = std::max(windows.back().end, w.end);
+    } else {
+      windows.push_back(w);
+    }
+  }
 }
 
 void StreamInjector::rebake_site(std::size_t s) {
@@ -300,20 +370,29 @@ void StreamInjector::on_tick_end(const core::TickSnapshot& snap) {
 // --- serialization --------------------------------------------------------
 
 namespace {
-constexpr std::uint32_t kInjectorFormatVersion = 1;
+// Version 2: telemetry overrides and a graph fingerprint replace the
+// whole baseline series of version 1.
+constexpr std::uint32_t kInjectorFormatVersion = 2;
 }  // namespace
 
 void StreamInjector::save(util::wire::Writer& w) const {
   w.u32(kInjectorFormatVersion);
+  w.u32(fingerprint_);
   w.u64(noise_seed_);
   w.u64(epoch_);
   w.u64(accepted_);
 
   for (std::size_t s = 0; s < n_sites_; ++s) {
-    w.vec_f64(base_power_[s]);
-    w.u64(base_forecast_[s].size());
-    for (const std::vector<double>& lead : base_forecast_[s]) {
-      w.vec_f64(lead);
+    for (std::size_t k = 0; k < overrides_[s].size(); ++k) {
+      const std::vector<double>& base =
+          k == 0 ? base_power_[s] : base_forecast_[s][k - 1];
+      w.u64(overrides_[s][k].size());
+      for (const Window& x : overrides_[s][k]) {
+        w.i64(x.start);
+        w.vec_f64(std::span{base}.subspan(
+            static_cast<std::size_t>(x.start),
+            static_cast<std::size_t>(x.end - x.start)));
+      }
     }
   }
   const auto save_windows = [&w](const std::vector<Window>& v) {
@@ -379,50 +458,107 @@ void StreamInjector::save(util::wire::Writer& w) const {
 }
 
 void StreamInjector::restore(util::wire::Reader& r) {
+  const auto fail = [](const std::string& what) {
+    throw std::runtime_error{"StreamInjector::restore: " + what};
+  };
   if (const std::uint32_t version = r.u32();
       version != kInjectorFormatVersion) {
-    throw std::runtime_error{"StreamInjector::restore: unsupported version " +
-                             std::to_string(version)};
+    fail("unsupported version " + std::to_string(version));
+  }
+  if (const std::uint32_t fingerprint = r.u32(); fingerprint != fingerprint_) {
+    fail("snapshot was taken over a different graph (graph fingerprint " +
+         hex32(fingerprint) + ", this graph " + hex32(fingerprint_) + ")");
+  }
+  for (const auto& site : overrides_) {
+    for (const std::vector<Window>& windows : site) {
+      if (!windows.empty()) {
+        fail("requires a freshly constructed injector (telemetry already "
+             "overridden)");
+      }
+    }
   }
   noise_seed_ = r.u64();
   epoch_ = r.u64();
   accepted_ = r.u64();
 
+  const auto horizon = static_cast<util::Tick>(n_ticks_);
   for (std::size_t s = 0; s < n_sites_; ++s) {
-    base_power_[s] = r.vec_f64();
-    if (base_power_[s].size() != n_ticks_) {
-      throw std::runtime_error{"StreamInjector::restore: power series size"};
+    for (std::size_t k = 0; k < overrides_[s].size(); ++k) {
+      std::vector<double>& base =
+          k == 0 ? base_power_[s] : base_forecast_[s][k - 1];
+      std::vector<Window>& windows = overrides_[s][k];
+      const auto series = [&] {
+        return "site " + std::to_string(s) +
+               (k == 0 ? " power" : " forecast lead " + std::to_string(k - 1));
+      };
+      const std::uint64_t n = r.count(16);
+      windows.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const util::Tick start = r.i64();
+        const std::vector<double> values = r.vec_f64();
+        if (start < 0 || start > horizon ||
+            values.size() > n_ticks_ - static_cast<std::size_t>(start)) {
+          fail("override window of " + series() + " (start " +
+               std::to_string(start) + ", " + std::to_string(values.size()) +
+               " ticks) runs past the horizon (" + std::to_string(n_ticks_) +
+               " ticks)");
+        }
+        if (values.empty() ||
+            (!windows.empty() && start <= windows.back().end)) {
+          fail("override windows of " + series() +
+               " are not sorted, disjoint and non-empty");
+        }
+        std::copy(values.begin(), values.end(),
+                  base.begin() + static_cast<std::ptrdiff_t>(start));
+        windows.push_back(
+            {start, start + static_cast<util::Tick>(values.size())});
+      }
     }
-    const std::uint64_t n_leads = r.u64();
-    if (n_leads != base_forecast_[s].size()) {
-      throw std::runtime_error{"StreamInjector::restore: lead count"};
-    }
-    for (std::vector<double>& lead : base_forecast_[s]) lead = r.vec_f64();
   }
-  const auto load_windows = [&r](std::vector<Window>& v) {
+  // Fault windows: a window may start past the horizon (clipped to empty),
+  // but any tick it covers must be inside it.
+  const auto check_window = [&](util::Tick start, util::Tick end,
+                                std::size_t s, const char* what) {
+    if (end > horizon || (start < end && start < 0)) {
+      fail(std::string{what} + " window [" + std::to_string(start) + ", " +
+           std::to_string(end) + ") of site " + std::to_string(s) +
+           " outside the horizon (" + std::to_string(n_ticks_) + " ticks)");
+    }
+  };
+  const auto check_site = [&](std::uint64_t site, const char* what) {
+    if (site >= n_sites_) {
+      fail(std::string{what} + " names site " + std::to_string(site) +
+           " (fleet has " + std::to_string(n_sites_) + ")");
+    }
+    return static_cast<std::size_t>(site);
+  };
+  const auto load_windows = [&](std::vector<Window>& v, std::size_t s,
+                                const char* what) {
     v.clear();
-    const std::uint64_t n = r.u64();
+    const std::uint64_t n = r.count(16);
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       Window x;
       x.start = r.i64();
       x.end = r.i64();
+      check_window(x.start, x.end, s, what);
       v.push_back(x);
     }
   };
   for (std::size_t s = 0; s < n_sites_; ++s) {
-    load_windows(blackouts_[s]);
+    load_windows(blackouts_[s], s, "blackout");
     brownouts_[s].clear();
-    const std::uint64_t n_brown = r.u64();
+    const std::uint64_t n_brown = r.count(24);
     for (std::uint64_t i = 0; i < n_brown; ++i) {
       Brownout b;
       b.start = r.i64();
       b.end = r.i64();
       b.alpha = r.f64();
+      check_window(b.start, b.end, s, "brownout");
       brownouts_[s].push_back(b);
     }
     forecast_faults_[s].clear();
-    const std::uint64_t n_fore = r.u64();
+    const std::uint64_t n_fore = r.count(40);
     for (std::uint64_t i = 0; i < n_fore; ++i) {
       ForecastFault f;
       f.start = r.i64();
@@ -430,51 +566,52 @@ void StreamInjector::restore(util::wire::Reader& r) {
       f.alpha = r.f64();
       f.sigma = r.f64();
       f.noise_index = r.u64();
+      check_window(f.start, f.end, s, "forecast fault");
       forecast_faults_[s].push_back(f);
     }
-    load_windows(outage_windows_[s]);
-    load_windows(admin_[s]);
-    load_windows(drains_[s]);
+    load_windows(outage_windows_[s], s, "server outage");
+    load_windows(admin_[s], s, "admin");
+    load_windows(drains_[s], s, "drain");
     admin_open_[s] = static_cast<char>(r.u8());
     drain_open_[s] = static_cast<char>(r.u8());
   }
 
   link_transitions_.clear();
-  const std::uint64_t n_trans = r.u64();
+  const std::uint64_t n_trans = r.count(16);
   for (std::uint64_t i = 0; i < n_trans; ++i) {
     const util::Tick tick = r.i64();
-    const std::uint64_t n_list = r.u64();
+    const std::uint64_t n_list = r.count(17);
     auto& list = link_transitions_[tick];
     for (std::uint64_t k = 0; k < n_list; ++k) {
-      const std::size_t a = static_cast<std::size_t>(r.u64());
-      const std::size_t b = static_cast<std::size_t>(r.u64());
+      const std::size_t a = check_site(r.u64(), "link transition");
+      const std::size_t b = check_site(r.u64(), "link transition");
       const bool up = r.u8() != 0;
       list.emplace_back(a, b, up);
     }
   }
   severed_.clear();
-  const std::uint64_t n_sev = r.u64();
+  const std::uint64_t n_sev = r.count(16);
   for (std::uint64_t i = 0; i < n_sev; ++i) {
-    const std::size_t a = static_cast<std::size_t>(r.u64());
-    const std::size_t b = static_cast<std::size_t>(r.u64());
+    const std::size_t a = check_site(r.u64(), "severed link");
+    const std::size_t b = check_site(r.u64(), "severed link");
     severed_.emplace(a, b);
   }
   outages_.clear();
-  const std::uint64_t n_out = r.u64();
+  const std::uint64_t n_out = r.count(16);
   for (std::uint64_t i = 0; i < n_out; ++i) {
     const util::Tick tick = r.i64();
-    const std::uint64_t n_list = r.u64();
+    const std::uint64_t n_list = r.count(24);
     auto& list = outages_[tick];
     for (std::uint64_t k = 0; k < n_list; ++k) {
       core::ServerOutage o;
-      o.site = static_cast<std::size_t>(r.u64());
+      o.site = check_site(r.u64(), "server outage");
       o.count = static_cast<int>(r.i64());
       o.repair_tick = r.i64();
       list.push_back(o);
     }
   }
   epoch_bumps_.clear();
-  const std::uint64_t n_bumps = r.u64();
+  const std::uint64_t n_bumps = r.count(16);
   for (std::uint64_t i = 0; i < n_bumps; ++i) {
     const util::Tick tick = r.i64();
     epoch_bumps_[tick] = r.u64();

@@ -7,6 +7,13 @@
 
 namespace vbatt::svc {
 
+namespace {
+
+constexpr std::size_t kHeaderBytes = 12;
+constexpr std::string_view kEventLogV1Magic{"VBEVLOG1"};
+
+}  // namespace
+
 EventLogWriter::EventLogWriter(const std::string& path, bool truncate)
     : path_{path} {
   const auto mode = std::ios::binary |
@@ -29,6 +36,7 @@ EventLogWriter::EventLogWriter(const std::string& path, bool truncate)
 void EventLogWriter::append(std::string_view payload) {
   util::wire::Writer frame;
   frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(util::wire::crc32(frame.data().data(), 4));
   frame.u32(util::wire::crc32(payload.data(), payload.size()));
   const std::string& header = frame.data();
   out_.write(header.data(), static_cast<std::streamsize>(header.size()));
@@ -47,9 +55,14 @@ EventLogContents read_event_log(const std::string& path) {
   }
   std::string bytes{std::istreambuf_iterator<char>{in},
                     std::istreambuf_iterator<char>{}};
-  if (bytes.size() < kEventLogMagic.size() ||
-      std::string_view{bytes}.substr(0, kEventLogMagic.size()) !=
-          kEventLogMagic) {
+  const std::string_view magic =
+      std::string_view{bytes}.substr(0, kEventLogMagic.size());
+  if (magic == kEventLogV1Magic) {
+    throw std::runtime_error{"read_event_log: " + path +
+                             " is a version-1 event log (VBEVLOG1); this "
+                             "build reads VBEVLOG2 only"};
+  }
+  if (magic != kEventLogMagic) {
     throw std::runtime_error{"read_event_log: " + path +
                              " is not an event log (bad magic)"};
   }
@@ -57,23 +70,30 @@ EventLogContents read_event_log(const std::string& path) {
   EventLogContents contents;
   std::size_t pos = kEventLogMagic.size();
   contents.clean_bytes = pos;
-  while (pos + 8 <= bytes.size()) {
-    util::wire::Reader header{std::string_view{bytes}.substr(pos, 8)};
+  // A header or payload cut short at EOF is a torn tail; the loop stops.
+  while (pos + kHeaderBytes <= bytes.size()) {
+    const std::string_view frame = std::string_view{bytes}.substr(pos);
+    util::wire::Reader header{frame.substr(0, kHeaderBytes)};
     const std::uint32_t length = header.u32();
+    const std::uint32_t length_crc = header.u32();
     const std::uint32_t crc = header.u32();
-    if (pos + 8 + length > bytes.size()) break;  // torn final record
-    const std::string_view payload =
-        std::string_view{bytes}.substr(pos + 8, length);
+    if (util::wire::crc32(frame.data(), 4) != length_crc) {
+      throw std::runtime_error{"read_event_log: " + path +
+                               ": corrupt record header at byte offset " +
+                               std::to_string(pos)};
+    }
+    if (length > frame.size() - kHeaderBytes) break;  // torn final record
+    const std::string_view payload = frame.substr(kHeaderBytes, length);
     if (util::wire::crc32(payload.data(), payload.size()) != crc) {
       // Only the frame ending exactly at EOF can be a torn write; a bad
       // CRC anywhere else would silently drop accepted events after it.
-      if (pos + 8 + length == bytes.size()) break;
+      if (length == frame.size() - kHeaderBytes) break;
       throw std::runtime_error{"read_event_log: " + path +
                                ": corrupt record at byte offset " +
                                std::to_string(pos)};
     }
     contents.records.emplace_back(payload);
-    pos += 8 + length;
+    pos += kHeaderBytes + length;
     contents.clean_bytes = pos;
   }
   contents.dropped_bytes = bytes.size() - contents.clean_bytes;

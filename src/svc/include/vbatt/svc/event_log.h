@@ -1,15 +1,19 @@
 // Crash-recoverable append-only event log.
 //
-// File layout: an 8-byte magic ("VBEVLOG1"), then zero or more records of
-//   u32 payload length | u32 CRC-32 of the payload | payload bytes
+// File layout: an 8-byte magic ("VBEVLOG2"), then zero or more records of
+//   u32 payload length | u32 CRC-32 of the length field |
+//   u32 CRC-32 of the payload | payload bytes
 // all little-endian. Appends are flushed record-by-record, so after a
-// crash the file is a clean prefix plus at most one torn record: a
-// partial frame running past EOF, or a CRC-failing frame that ends exactly
+// crash the file is a clean prefix plus at most one torn record: a header
+// or payload cut short at EOF, or a CRC-failing payload that ends exactly
 // at EOF. The reader drops such a tail — an expected artifact of dying
-// mid-write, never an error. A CRC failure on any other record is
-// corruption, not a crash artifact, and is a named error. Recovery =
-// snapshot + replay of the surviving records (service.h owns that
-// protocol; this file only moves bytes).
+// mid-write, never an error. Everything else is corruption, not a crash
+// artifact, and is a named error: a complete header whose length fails
+// its own CRC (without that check one flipped length bit would read as a
+// torn tail and drop every record after it), or a payload CRC failure on
+// any record but the last. A version-1 log ("VBEVLOG1", no header CRC) is
+// refused by name. Recovery = snapshot + replay of the surviving records
+// (service.h owns that protocol; this file only moves bytes).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +24,7 @@
 
 namespace vbatt::svc {
 
-inline constexpr std::string_view kEventLogMagic{"VBEVLOG1"};
+inline constexpr std::string_view kEventLogMagic{"VBEVLOG2"};
 
 class EventLogWriter {
  public:
@@ -52,9 +56,10 @@ struct EventLogContents {
 };
 
 /// Read every clean record of `path`. Throws std::runtime_error on a
-/// missing file, a bad magic, or a CRC failure on any record but the
-/// final one (naming the path and the record's byte offset) — a torn
-/// tail is tolerated and reported, not fatal.
+/// missing file, a bad magic, a version-1 log, a header CRC failure, or a
+/// payload CRC failure on any record but the final one (the last two name
+/// the path and the record's byte offset) — a torn tail is tolerated and
+/// reported, not fatal.
 EventLogContents read_event_log(const std::string& path);
 
 /// Cut `path` down to `clean_bytes` (drop a torn tail before reopening

@@ -17,7 +17,11 @@
 // rejected event therefore never reaches the log (replay cannot trip over
 // it), and a crash between apply and append loses at most the one event
 // whose effect was never made durable — the recovered state is exactly the
-// logged prefix, which is a valid state of the machine.
+// logged prefix, which is a valid state of the machine. An append that
+// throws (disk full, I/O error) leaves the same gap inside a live process,
+// so the service fails stop: from then on submit(), replay() and
+// snapshot_bytes() throw "log append failed; recover from snapshot + log"
+// and only status() still answers.
 //
 // tick_advance is an event like any other: time only moves when the log
 // says it does, which is what makes replay reproduce the interleaving of
@@ -40,6 +44,9 @@
 namespace vbatt::svc {
 
 inline constexpr std::string_view kSnapshotMagic{"VBSNAP01"};
+/// The error every durable operation raises after a failed log append.
+inline constexpr const char* kLogFailed =
+    "log append failed; recover from snapshot + log";
 
 /// Operator-facing status surface (the `status` command).
 struct ServiceStatus {
@@ -74,7 +81,8 @@ class ControlPlane {
   /// Validate and apply one event; on success assign it the next sequence
   /// number, append it to the attached log (if any), and return the
   /// sequence number. Throws std::runtime_error on a rejected event —
-  /// rejected events mutate nothing and are never logged.
+  /// rejected events mutate nothing and are never logged — and on a failed
+  /// append, after which the service refuses further work (kLogFailed).
   std::uint64_t submit(Event e);
 
   /// Re-apply logged records (recovery). Records with seq <= last_seq()
@@ -121,15 +129,17 @@ class ControlPlane {
   std::string snapshot_bytes() const;
 
   /// Inverse of snapshot_bytes(). Must be called on a freshly constructed
-  /// service (no events applied) over the same graph; the snapshot's
-  /// policy must match the constructed one (the scheduler is rebuilt, not
-  /// serialized). Throws on corruption or mismatch.
+  /// service (no events applied) over the same graph — the injector checks
+  /// the graph's fingerprint — and the snapshot's policy must match the
+  /// constructed one (the scheduler is rebuilt, not serialized). Throws
+  /// std::runtime_error naming the problem on corruption or mismatch.
   void restore_snapshot(std::string_view bytes);
 
  private:
   void apply(const Event& e);          // dispatch, validated, may throw
   void advance_one_tick();             // the tick_advance handler
   void check_site(std::size_t site, const char* what) const;
+  void check_log_intact() const;  // throws kLogFailed after a failed append
 
   ServiceConfig config_;
   std::unique_ptr<fault::StreamInjector> injector_;
@@ -149,6 +159,7 @@ class ControlPlane {
   std::vector<std::int64_t> pending_departures_;
 
   std::unique_ptr<EventLogWriter> log_;
+  bool log_failed_ = false;  // an append threw: live state is ahead of it
   std::vector<double> replan_ms_;
   bool finished_ = false;
 };

@@ -16,7 +16,10 @@ namespace {
 // decomposed engine. A version-1 snapshot holds plans from the retired
 // seed-tableau engine that this build would not reproduce on replay, so
 // it is refused rather than restored.
-constexpr std::uint64_t kSnapshotVersion = 2;
+// Version 3: the injector writes telemetry overrides and a graph
+// fingerprint instead of whole baselines, and the stepper trims the
+// trailing zeros of its per-tick series. Version 2 is refused by name.
+constexpr std::uint64_t kSnapshotVersion = 3;
 
 [[noreturn]] void reject(const std::string& what) {
   throw std::runtime_error{"ControlPlane: " + what};
@@ -89,15 +92,31 @@ ControlPlane::ControlPlane(const core::VbGraph& graph,
 
 std::uint64_t ControlPlane::submit(Event e) {
   if (finished_) reject("service already finished");
+  check_log_intact();
   apply(e);  // throws on reject, before any sequence number is burned
   e.seq = ++seq_;
   ++applied_;
-  if (log_) log_->append(encode_event(e));
+  if (log_) {
+    try {
+      log_->append(encode_event(e));
+    } catch (const std::exception& ex) {
+      // The event is applied but not durable: live state is now ahead of
+      // the log, so stop rather than let a later snapshot or append
+      // record a history the log cannot reproduce.
+      log_failed_ = true;
+      reject(std::string{kLogFailed} + " (" + ex.what() + ")");
+    }
+  }
   return e.seq;
+}
+
+void ControlPlane::check_log_intact() const {
+  if (log_failed_) reject(kLogFailed);
 }
 
 std::uint64_t ControlPlane::replay(const std::vector<std::string>& records) {
   if (finished_) reject("service already finished");
+  check_log_intact();
   std::uint64_t n = 0;
   for (const std::string& record : records) {
     const Event e = decode_event(record);
@@ -304,7 +323,13 @@ core::SimResult ControlPlane::finish() {
 
 std::string ControlPlane::snapshot_bytes() const {
   if (finished_) reject("service already finished");
+  check_log_intact();
+  // Built in place: magic, a length + CRC header stamped once the body is
+  // complete, then the body.
   util::wire::Writer body;
+  body.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
+  body.u32(0);
+  body.u32(0);
   body.u64(kSnapshotVersion);
   body.u64(seq_);
   body.u64(applied_);
@@ -326,13 +351,14 @@ std::string ControlPlane::snapshot_bytes() const {
   injector_->save(body);
   stepper_->save(body);
 
-  util::wire::Writer out;
-  out.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
-  const std::string& payload = body.data();
-  out.u32(static_cast<std::uint32_t>(payload.size()));
-  out.u32(util::wire::crc32(payload.data(), payload.size()));
-  out.bytes(payload.data(), payload.size());
-  return out.take();
+  std::string out = body.take();
+  const std::size_t header = kSnapshotMagic.size() + 8;
+  const std::string_view payload = std::string_view{out}.substr(header);
+  util::wire::Writer frame;
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(util::wire::crc32(payload.data(), payload.size()));
+  out.replace(kSnapshotMagic.size(), 8, frame.data());
+  return out;
 }
 
 void ControlPlane::restore_snapshot(std::string_view bytes) {
@@ -359,6 +385,11 @@ void ControlPlane::restore_snapshot(std::string_view bytes) {
 
   util::wire::Reader r{payload};
   const std::uint64_t version = r.u64();
+  if (version == 2) {
+    reject("restore_snapshot: unsupported snapshot version 2 (it holds "
+           "whole telemetry baselines; this build reads version " +
+           std::to_string(kSnapshotVersion) + ")");
+  }
   if (version != kSnapshotVersion) {
     reject("restore_snapshot: unsupported snapshot version " +
            std::to_string(version));
@@ -376,7 +407,7 @@ void ControlPlane::restore_snapshot(std::string_view bytes) {
   config_ = std::move(snap_config);
   health_.set_config(config_.health);
 
-  const std::uint64_t n_arrivals = r.u64();
+  const std::uint64_t n_arrivals = r.count(56);
   pending_arrivals_.clear();
   pending_arrivals_.reserve(static_cast<std::size_t>(n_arrivals));
   for (std::uint64_t i = 0; i < n_arrivals; ++i) {

@@ -33,6 +33,7 @@
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
+#include "vbatt/util/wire.h"
 
 namespace vbatt::testkit {
 
@@ -1432,6 +1433,76 @@ CaseResult eval_svc_replay_identity(const Spec& spec) {
   return verdict.empty() ? CaseResult::pass() : fail_str(std::move(verdict));
 }
 
+/// Snapshot restore under corruption the frame CRC cannot see: mutate a
+/// mid-run snapshot's body (flip bytes, truncate it or extend it),
+/// re-stamp its length and CRC, and restore. The restore must either
+/// refuse with a std::runtime_error, or yield a service whose
+/// re-serialized bytes restore again, to the same bytes.
+CaseResult eval_svc_snapshot_mutation(const Spec& spec) {
+  const svc::Scenario scenario = svc::make_scenario(svc_scenario_config(spec));
+  const svc::ServiceConfig config = svc_service_config(spec);
+  std::vector<svc::Event> events = svc::scenario_events(scenario, false);
+  const std::size_t cut = static_cast<std::size_t>(
+      std::clamp<std::int64_t>(spec.get("cut100", 50), 0, 100));
+  svc::ControlPlane live{scenario.graph, config};
+  for (std::size_t i = 0; i < events.size() * cut / 100; ++i) {
+    live.submit(std::move(events[i]));
+  }
+  const std::string snapshot = live.snapshot_bytes();
+  const std::size_t header = svc::kSnapshotMagic.size() + 8;
+  std::string body = snapshot.substr(header);
+
+  util::Rng rng{spec.child_seed("mutation")};
+  switch (std::clamp<std::int64_t>(spec.get("mut", 0), 0, 2)) {
+    case 0: {
+      const auto flips = std::clamp<std::int64_t>(spec.get("flips", 1), 1, 64);
+      for (std::int64_t i = 0; i < flips; ++i) {
+        char& byte = body[rng.below(body.size())];
+        byte = static_cast<char>(byte ^ (1 + rng.below(255)));
+      }
+      break;
+    }
+    case 1:
+      body.resize(rng.below(body.size()));
+      break;
+    default:
+      for (std::uint64_t n = 1 + rng.below(64); n > 0; --n) {
+        body.push_back(static_cast<char>(rng.next()));
+      }
+      break;
+  }
+  util::wire::Writer frame;
+  frame.bytes(svc::kSnapshotMagic.data(), svc::kSnapshotMagic.size());
+  frame.u32(static_cast<std::uint32_t>(body.size()));
+  frame.u32(util::wire::crc32(body.data(), body.size()));
+  frame.bytes(body.data(), body.size());
+
+  std::string again;
+  {
+    svc::ControlPlane restored{scenario.graph, config};
+    try {
+      restored.restore_snapshot(frame.data());
+    } catch (const std::runtime_error&) {
+      return CaseResult::pass();  // refused by name
+    } catch (const std::exception& ex) {
+      return fail_str(std::string{"restore threw a non-runtime_error: "} +
+                      ex.what());
+    }
+    again = restored.snapshot_bytes();
+  }
+  svc::ControlPlane reparsed{scenario.graph, config};
+  try {
+    reparsed.restore_snapshot(again);
+  } catch (const std::exception& ex) {
+    return fail_str(std::string{"re-serialized snapshot does not restore: "} +
+                    ex.what());
+  }
+  if (reparsed.snapshot_bytes() != again) {
+    return fail_str("re-serialized snapshot does not restore to itself");
+  }
+  return CaseResult::pass();
+}
+
 }  // namespace
 
 std::vector<Property> all_properties() {
@@ -1633,6 +1704,26 @@ std::vector<Property> all_properties() {
                         return spec;
                       },
                       eval_svc_replay_identity, svc_shrink});
+  registry.push_back({"svc", "snapshot_mutation",
+                      [svc_gen](util::Rng& rng) {
+                        Spec spec = svc_gen(rng);
+                        spec.set("cut100",
+                                 static_cast<std::int64_t>(rng.below(101)));
+                        spec.set("mut", static_cast<std::int64_t>(rng.below(3)));
+                        spec.set("flips",
+                                 1 + static_cast<std::int64_t>(rng.below(16)));
+                        return spec;
+                      },
+                      eval_svc_snapshot_mutation,
+                      {{"days", 1},
+                       {"solar", 0},
+                       {"wind", 0},
+                       {"aph100", 0},
+                       {"i100", 0},
+                       {"cut100", 0},
+                       {"jph100", 0},
+                       {"tph100", 0},
+                       {"flips", 1}}});
 
   registry.push_back({"energy", "trace_range", gen_fleet_spec,
                       eval_trace_range,

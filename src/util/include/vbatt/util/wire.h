@@ -3,14 +3,18 @@
 // The event log and fleet snapshots must be byte-stable across runs and
 // platforms: a recovered service proves itself by re-serializing to the
 // exact bytes an uninterrupted run produces. Everything is therefore
-// written explicitly little-endian with fixed widths — no struct dumps,
-// no host-order shortcuts. Doubles travel as their IEEE-754 bit patterns,
-// so values round-trip bit-exactly.
+// written explicitly little-endian with fixed widths — no struct dumps.
+// On a little-endian host the in-memory representation already is the
+// wire encoding, so scalars and f64/i64 arrays are copied in bulk there;
+// any other host takes the per-byte path. Doubles travel as their
+// IEEE-754 bit patterns, so values round-trip bit-exactly.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,7 +23,9 @@
 namespace vbatt::util::wire {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `size` bytes.
-/// check("123456789") == 0xCBF43926. Table built on first use.
+/// check("123456789") == 0xCBF43926. Slice-by-8: eight bytes per step
+/// through eight 256-entry tables built on first use. `seed` chains calls:
+/// crc32(b, nb, crc32(a, na)) == crc32(a ++ b).
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0) noexcept;
 
@@ -48,12 +54,8 @@ class Writer {
     u64(v.size());
     for (const T& x : v) item(*this, x);
   }
-  void vec_f64(const std::vector<double>& v) {
-    vec(v, [](Writer& w, double x) { w.f64(x); });
-  }
-  void vec_i64(const std::vector<std::int64_t>& v) {
-    vec(v, [](Writer& w, std::int64_t x) { w.i64(x); });
-  }
+  void vec_f64(std::span<const double> v) { bulk(v); }
+  void vec_i64(std::span<const std::int64_t> v) { bulk(v); }
   void vec_int(const std::vector<int>& v) {
     vec(v, [](Writer& w, int x) { w.i64(x); });
   }
@@ -68,8 +70,29 @@ class Writer {
  private:
   template <typename T>
   void raw_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    if constexpr (std::endian::native == std::endian::little) {
+      out_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+      }
+    }
+  }
+  /// u64 count, then each 8-byte element little-endian.
+  template <typename T>
+  void bulk(std::span<const T> v) {
+    static_assert(sizeof(T) == 8);
+    u64(v.size());
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!v.empty()) {
+        out_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
+      }
+    } else {
+      for (const T x : v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &x, sizeof bits);
+        raw_le(bits);
+      }
     }
   }
   std::string out_;
@@ -77,7 +100,7 @@ class Writer {
 
 /// Bounds-checked reader over a byte span. Throws std::runtime_error on
 /// truncation — durable-state consumers turn that into a recovery decision
-/// (drop the torn tail), never into UB.
+/// (drop the torn tail) or a named refusal, never into UB.
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_{data} {}
@@ -93,30 +116,41 @@ class Reader {
     return v;
   }
   std::string str() {
-    const std::uint64_t n = checked_count(u64());
+    const std::uint64_t n = count(1);
     const std::string_view s = take(n);
     return std::string{s};
   }
 
+  /// Read an element count and check that `n` items of at least
+  /// `item_bytes` bytes each fit in the remaining input, so a corrupt
+  /// count is a named error before anything is reserved for it.
+  std::uint64_t count(std::size_t item_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / item_bytes) {
+      throw std::runtime_error{"wire::Reader: count exceeds input"};
+    }
+    return n;
+  }
+
   template <typename T, typename Fn>
   std::vector<T> vec(Fn&& item) {
-    const std::uint64_t n = checked_count(u64());
+    const std::uint64_t n = count(1);
     std::vector<T> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(item(*this));
     return v;
   }
-  std::vector<double> vec_f64() {
-    return vec<double>([](Reader& r) { return r.f64(); });
-  }
-  std::vector<std::int64_t> vec_i64() {
-    return vec<std::int64_t>([](Reader& r) { return r.i64(); });
-  }
+  std::vector<double> vec_f64() { return bulk<double>(); }
+  std::vector<std::int64_t> vec_i64() { return bulk<std::int64_t>(); }
   std::vector<int> vec_int() {
-    return vec<int>([](Reader& r) { return static_cast<int>(r.i64()); });
+    const std::uint64_t n = count(8);
+    std::vector<int> v;
+    v.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) v.push_back(static_cast<int>(i64()));
+    return v;
   }
   std::vector<char> vec_u8() {
-    const std::uint64_t n = checked_count(u64());
+    const std::uint64_t n = count(1);
     const std::string_view s = take(n);
     return std::vector<char>{s.begin(), s.end()};
   }
@@ -143,11 +177,22 @@ class Reader {
     }
     return v;
   }
-  std::uint64_t checked_count(std::uint64_t n) {
-    if (n > remaining()) {
-      throw std::runtime_error{"wire::Reader: count exceeds input"};
+  /// Inverse of Writer::bulk.
+  template <typename T>
+  std::vector<T> bulk() {
+    static_assert(sizeof(T) == 8);
+    const std::uint64_t n = count(8);
+    std::vector<T> v(n);
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::string_view s = take(n * 8);
+      if (n != 0) std::memcpy(v.data(), s.data(), s.size());
+    } else {
+      for (T& x : v) {
+        const std::uint64_t bits = raw_le(8);
+        std::memcpy(&x, &bits, sizeof x);
+      }
     }
-    return n;
+    return v;
   }
 
   std::string_view data_;

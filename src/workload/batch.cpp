@@ -303,7 +303,7 @@ void BatchOverlay::restore_state(util::wire::Reader& r) {
   stats_.resume_episodes = r.i64();
   stats_.overlay_active_core_ticks = r.i64();
   jobs_.clear();
-  const std::uint64_t n_jobs = r.u64();
+  const std::uint64_t n_jobs = r.count(65);
   jobs_.reserve(n_jobs);
   for (std::uint64_t i = 0; i < n_jobs; ++i) {
     JobState job;
@@ -322,7 +322,7 @@ void BatchOverlay::restore_state(util::wire::Reader& r) {
     jobs_.push_back(job);
   }
   tasks_.clear();
-  const std::uint64_t n_tasks = r.u64();
+  const std::uint64_t n_tasks = r.count(97);
   tasks_.reserve(n_tasks);
   for (std::uint64_t i = 0; i < n_tasks; ++i) {
     TaskState task;

@@ -112,10 +112,11 @@ TEST(SvcEventLog, MidLogCorruptionIsANamedError) {
     w.append("third record");
   }
   std::string bytes = slurp(path);
-  // Flip one bit in the *first* record's payload: its frame ends well
-  // before EOF, so this cannot be a torn write.
+  // Flip one bit in the *first* record's payload (after its 12-byte
+  // header): its frame ends well before EOF, so this cannot be a torn
+  // write.
   const std::size_t first = kEventLogMagic.size();
-  bytes[first + 8] = static_cast<char>(bytes[first + 8] ^ 0x40);
+  bytes[first + 12] = static_cast<char>(bytes[first + 12] ^ 0x40);
   spill(path, bytes);
   try {
     (void)read_event_log(path.string());
@@ -126,6 +127,76 @@ TEST(SvcEventLog, MidLogCorruptionIsANamedError) {
     EXPECT_NE(what.find("byte offset " + std::to_string(first)),
               std::string::npos)
         << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SvcEventLog, FlippedLengthBitInRecordOneIsANamedError) {
+  const auto path = temp_log("hdrcrc");
+  {
+    EventLogWriter w{path.string(), true};
+    w.append("first record");
+    w.append("second record");
+    w.append("third record");
+  }
+  std::string bytes = slurp(path);
+  // A high bit of record 1's length: the frame now claims to run past
+  // EOF. Without a header check that reads as a torn tail and silently
+  // drops every record.
+  const std::size_t first = kEventLogMagic.size();
+  bytes[first + 2] = static_cast<char>(bytes[first + 2] ^ 0x01);
+  spill(path, bytes);
+  try {
+    const EventLogContents contents = read_event_log(path.string());
+    ADD_FAILURE() << "header corruption read as records="
+                  << contents.records.size();
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("corrupt record header at byte offset " +
+                        std::to_string(first)),
+              std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SvcEventLog, HeaderCutShortAtEofIsATornTail) {
+  const auto path = temp_log("tornhdr");
+  {
+    EventLogWriter w{path.string(), true};
+    w.append("keep me");
+  }
+  const std::uint64_t clean = std::filesystem::file_size(path);
+  {
+    EventLogWriter w{path.string(), /*truncate=*/false};
+    w.append("tear my header");
+  }
+  const std::string full = slurp(path);
+  // Every cut inside the second record's 12-byte header, and the header
+  // complete with its payload missing.
+  for (std::size_t cut = clean + 1; cut <= clean + 12; ++cut) {
+    spill(path, full.substr(0, cut));
+    const EventLogContents torn = read_event_log(path.string());
+    EXPECT_EQ(torn.records, (std::vector<std::string>{"keep me"}))
+        << "cut at byte " << cut;
+    EXPECT_EQ(torn.clean_bytes, clean);
+    EXPECT_EQ(torn.dropped_bytes, cut - clean);
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SvcEventLog, RefusesVersionOneLogByName) {
+  const auto path = temp_log("v1");
+  // "VBEVLOG1", then one v1 frame: u32 length | u32 CRC | payload.
+  spill(path, std::string{"VBEVLOG1"} + std::string{"\x02\0\0\0", 4} +
+                  std::string(4, '\0') + "hi");
+  try {
+    (void)read_event_log(path.string());
+    ADD_FAILURE() << "a version-1 log was read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("version-1 event log"),
+              std::string::npos)
+        << e.what();
   }
   std::filesystem::remove(path);
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/sim_stepper.h"
 #include "vbatt/core/simulation.h"
+#include "vbatt/energy/site.h"
 #include "vbatt/svc/event_log.h"
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
@@ -57,6 +59,40 @@ std::string reference_state(const Scenario& scenario,
   ControlPlane service{scenario.graph, config};
   for (Event& e : events) service.submit(std::move(e));
   return service.snapshot_bytes();
+}
+
+/// The CRC-framed body of a snapshot, and the inverse: frame an edited
+/// body with a fresh length and CRC, so only the body's own checks judge it.
+std::string snapshot_payload(const std::string& snapshot) {
+  return snapshot.substr(kSnapshotMagic.size() + 8);
+}
+std::string frame_snapshot(const std::string& payload) {
+  util::wire::Writer frame;
+  frame.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(util::wire::crc32(payload.data(), payload.size()));
+  frame.bytes(payload.data(), payload.size());
+  return frame.take();
+}
+
+/// `snapshot` relabelled as format `version` (valid magic, length, CRC).
+std::string with_version(const std::string& snapshot, std::uint64_t version) {
+  std::string payload = snapshot_payload(snapshot);
+  util::wire::Writer label;
+  label.u64(version);
+  payload.replace(0, label.data().size(), label.data());
+  return frame_snapshot(payload);
+}
+
+/// Restore `snapshot` into `service`; return the error it was refused
+/// with, or "" if it was restored.
+std::string restore_error(ControlPlane& service, const std::string& snapshot) {
+  try {
+    service.restore_snapshot(snapshot);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 void chop_file(const std::filesystem::path& path, std::uintmax_t bytes) {
@@ -288,23 +324,173 @@ TEST(SvcRecovery, RestoreRejectsVersionOneSnapshot) {
   Event tick;
   tick.kind = EventKind::tick_advance;
   a.submit(tick);
-  const std::string snap = a.snapshot_bytes();
-  std::string payload = snap.substr(kSnapshotMagic.size() + 8);
-  util::wire::Writer version;
-  version.u64(1);
-  payload.replace(0, version.data().size(), version.data());
-  util::wire::Writer frame;
-  frame.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(util::wire::crc32(payload.data(), payload.size()));
-  frame.bytes(payload.data(), payload.size());
-
   ControlPlane fresh{scenario.graph, service_config("mip24h")};
+  const std::string error =
+      restore_error(fresh, with_version(a.snapshot_bytes(), 1));
+  EXPECT_NE(error.find("unsupported snapshot version 1"), std::string::npos)
+      << "error: '" << error << "'";
+}
+
+TEST(SvcRecovery, RestoreRefusesVersionTwoSnapshotByName) {
+  // Version 2 wrote whole telemetry baselines where version 3 writes
+  // overrides; a relabelled v3 body must not be read as v2 or vice versa.
+  const Scenario scenario = make_scenario(tiny_scenario());
+  ControlPlane a{scenario.graph, service_config("greedy")};
+  Event tick;
+  tick.kind = EventKind::tick_advance;
+  a.submit(tick);
+  ControlPlane fresh{scenario.graph, service_config("greedy")};
+  const std::string error =
+      restore_error(fresh, with_version(a.snapshot_bytes(), 2));
+  EXPECT_NE(error.find("unsupported snapshot version 2"), std::string::npos)
+      << "error: '" << error << "'";
+}
+
+/// A tiny fleet built straight from the generators, so the fleet seed can
+/// vary while every shape (sites, ticks, leads) stays the same.
+core::VbGraph seeded_graph(std::uint64_t fleet_seed) {
+  energy::FleetConfig fleet;
+  fleet.n_solar = 2;
+  fleet.n_wind = 2;
+  fleet.region_km = 800.0;
+  fleet.seed = fleet_seed;
+  return core::VbGraph{
+      energy::generate_fleet(fleet, util::TimeAxis{15}, 96), {}};
+}
+
+TEST(SvcRecovery, RestoreRefusesASnapshotOverAnotherGraph) {
+  const core::VbGraph graph = seeded_graph(1);
+  const core::VbGraph other = seeded_graph(2);
+  ASSERT_EQ(graph.n_sites(), other.n_sites());
+  ASSERT_EQ(graph.n_ticks(), other.n_ticks());
+  ControlPlane a{graph, service_config("greedy")};
+  Event tick;
+  tick.kind = EventKind::tick_advance;
+  a.submit(tick);
+  const std::string snap = a.snapshot_bytes();
+
+  ControlPlane wrong{other, service_config("greedy")};
+  const std::string error = restore_error(wrong, snap);
+  EXPECT_NE(error.find("snapshot was taken over a different graph"),
+            std::string::npos)
+      << "error: '" << error << "'";
+  ControlPlane same{graph, service_config("greedy")};
+  EXPECT_EQ(restore_error(same, snap), "");
+}
+
+TEST(SvcRecovery, RestoreRefusesAnOverrideWindowPastTheHorizon) {
+  const Scenario scenario = make_scenario(tiny_scenario());
+  const std::size_t n_ticks = scenario.graph.n_ticks();
+  ControlPlane a{scenario.graph, service_config("greedy")};
+  Event tick;
+  tick.kind = EventKind::tick_advance;
+  a.submit(tick);
+  Event reading;
+  reading.kind = EventKind::power_reading;
+  reading.site = 1;
+  reading.tick = 10;
+  reading.values = {0.123456789, 0.25, 0.5};
+  a.submit(reading);
+  std::string payload = snapshot_payload(a.snapshot_bytes());
+
+  // The override window is written as i64 start, u64 count, values:
+  // find its first value and move the window's start so it ends one tick
+  // past the horizon.
+  util::wire::Writer first_value;
+  first_value.f64(0.123456789);
+  const std::size_t at = payload.find(first_value.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(first_value.data(), at + 1), std::string::npos);
+  util::wire::Writer start;
+  start.i64(static_cast<std::int64_t>(n_ticks - 2));
+  payload.replace(at - 16, 8, start.data());
+
+  ControlPlane fresh{scenario.graph, service_config("greedy")};
+  const std::string error = restore_error(fresh, frame_snapshot(payload));
+  EXPECT_NE(error.find("runs past the horizon"), std::string::npos)
+      << "error: '" << error << "'";
+}
+
+TEST(SvcRecovery, TelemetryOverridesSurviveAMidRunSnapshot) {
+  // Readings whose values differ from the graph's are the only baseline
+  // state a v3 snapshot carries; a power reading and a forecast update
+  // submitted before a mid-run snapshot must survive it exactly.
+  const Scenario scenario = make_scenario(tiny_scenario(1.0));
+  const ServiceConfig config = service_config("greedy");
+  std::vector<Event> events = scenario_events(scenario);
+  const auto first_tick = static_cast<std::size_t>(
+      std::find_if(events.begin(), events.end(),
+                   [](const Event& e) {
+                     return e.kind == EventKind::tick_advance;
+                   }) -
+      events.begin());
+  // After 20 ticks: halve site 0's power for ticks 25-54 and pin site 1's
+  // lead-2 forecast at 0.3 for ticks 30-69.
+  std::size_t at = first_tick;
+  for (int ticks = 0; ticks < 20; ++at) {
+    if (events[at].kind == EventKind::tick_advance) ++ticks;
+  }
+  const core::VbSite& site0 = scenario.graph.sites()[0];
+  Event power;
+  power.kind = EventKind::power_reading;
+  power.site = 0;
+  power.tick = 25;
+  for (std::size_t t = 25; t < 55; ++t) {
+    power.values.push_back(site0.power_norm[t] * 0.5 + 0.01);
+  }
+  Event forecast;
+  forecast.kind = EventKind::forecast_update;
+  forecast.site = 1;
+  forecast.lead = 2;
+  forecast.tick = 30;
+  forecast.values.assign(40, 0.3);
+  events.insert(events.begin() + static_cast<std::ptrdiff_t>(at),
+                {power, forecast});
+  const std::size_t split = at + 40;  // past the readings, mid-run
+
+  ControlPlane a{scenario.graph, config};
+  std::string mid;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i == split) mid = a.snapshot_bytes();
+    a.submit(events[i]);
+  }
+  ASSERT_NE(a.injector().graph().sites()[0].power_norm[30],
+            site0.power_norm[30]);
+
+  ControlPlane b{scenario.graph, config};
+  b.restore_snapshot(mid);
+  EXPECT_EQ(b.injector().graph().sites()[1].forecast_norm[2][40], 0.3);
+  for (std::size_t i = split; i < events.size(); ++i) b.submit(events[i]);
+  EXPECT_EQ(b.snapshot_bytes(), a.snapshot_bytes());
+  EXPECT_EQ(result_fingerprint(b.finish()), result_fingerprint(a.finish()));
+}
+
+TEST(SvcRecovery, StepperRestoreRefusesAnOverlongSeries) {
+  // A stepper saved 150 ticks into a two-day run holds per-tick series
+  // longer than a one-day horizon; restoring it there must be refused by
+  // name rather than write past the ledgers.
+  ScenarioConfig two_days = tiny_scenario();
+  two_days.days = 2;
+  const Scenario longer = make_scenario(two_days);
+  const Scenario shorter = make_scenario(tiny_scenario());
+  ASSERT_EQ(longer.graph.n_sites(), shorter.graph.n_sites());
+
+  util::wire::Writer saved;
+  {
+    core::MipScheduler scheduler{core::make_mip24h_config()};
+    core::SimStepper stepper{longer.graph, scheduler};
+    std::size_t next_app = 0;
+    step_ticks(stepper, longer.apps, next_app, 0, 150);
+    stepper.save(saved);
+  }
+  core::MipScheduler scheduler{core::make_mip24h_config()};
+  core::SimStepper stepper{shorter.graph, scheduler};
+  util::wire::Reader reader{saved.data()};
   try {
-    fresh.restore_snapshot(frame.data());
-    FAIL() << "a version-1 snapshot was restored";
+    stepper.restore(reader);
+    FAIL() << "an over-long series was restored";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("unsupported snapshot version 1"),
+    EXPECT_NE(std::string{e.what()}.find("ticks, the horizon has 96"),
               std::string::npos)
         << e.what();
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "vbatt/core/simulation.h"
 #include "vbatt/fault/stream.h"
+#include "vbatt/svc/event_log.h"
 #include "vbatt/svc/scenario.h"
 
 namespace vbatt::svc {
@@ -236,6 +238,37 @@ TEST(SvcService, FinishIsTerminal) {
   service.submit(tick_event());
   (void)service.finish();
   EXPECT_THROW(service.submit(tick_event()), std::runtime_error);
+}
+
+TEST(SvcService, FailedLogAppendStopsTheService) {
+  // /dev/full accepts the open and fails the first flush with ENOSPC, so
+  // the first append throws after the event was applied.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Scenario scenario = make_scenario(tiny_scenario());
+  ControlPlane service{scenario.graph, greedy_config()};
+  service.submit(tick_event());
+  service.attach_log(
+      std::make_unique<EventLogWriter>("/dev/full", /*truncate=*/false));
+
+  const auto expect_log_failed = [](const auto& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " succeeded after a failed log append";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(kLogFailed), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_log_failed([&] { service.submit(tick_event()); }, "failing submit");
+  // The event was applied before the append failed: state is ahead of
+  // the log, so every durable operation refuses from now on.
+  expect_log_failed([&] { service.submit(tick_event()); }, "submit");
+  expect_log_failed([&] { service.replay({}); }, "replay");
+  expect_log_failed([&] { (void)service.snapshot_bytes(); }, "snapshot_bytes");
+  // status() still answers, and shows the unlogged event.
+  const ServiceStatus status = service.status();
+  EXPECT_EQ(status.last_seq, 2u);
+  EXPECT_EQ(status.tick, 1);
 }
 
 }  // namespace
