@@ -1,13 +1,12 @@
-// Retained linear-scan allocation chooses.
+// Linear-scan allocation chooses.
 //
-// These are the original O(n_servers) `AllocationPolicy::choose` loops the
-// free-cores bucket index replaced. They are kept (a) as the executable
-// specification of each policy's exact semantics — including tie-breaks —
-// and (b) as the oracle for the property tests and the scale bench: every
-// indexed choose on Site must return the identical server id these scans
-// return, on any reachable site state. Failed servers stay in servers()
-// with their free capacity intact but are never placement candidates, so
-// every scan checks server_failed(i) first.
+// O(n_servers) loops over Site::server(i). best_fit is the executable
+// specification of SiteBlock::best_fit — including tie-breaks — and the
+// oracle of the property tests: the indexed query must return the
+// identical server id on any reachable site state. first_fit and
+// worst_fit exist only so tests can reach states best-fit never builds.
+// Failed servers keep their free capacity in server(i) but are never
+// placement candidates, so every scan checks server_failed(i) first.
 #pragma once
 
 #include <optional>
@@ -19,10 +18,11 @@ namespace vbatt::dcsim::scan_reference {
 /// First server with room, by index.
 inline std::optional<int> first_fit(const Site& site,
                                     const workload::VmShape& shape) {
-  const auto& servers = site.servers();
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    if (!site.server_failed(i) && servers[i].free_cores >= shape.cores &&
-        servers[i].free_memory_gb >= shape.memory_gb) {
+  const auto n = static_cast<std::size_t>(site.config().n_servers);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ServerState s = site.server(i);
+    if (!site.server_failed(i) && s.free_cores >= shape.cores &&
+        s.free_memory_gb >= shape.memory_gb) {
       return static_cast<int>(i);
     }
   }
@@ -36,12 +36,12 @@ inline std::optional<int> first_fit(const Site& site,
 /// fewer free cores than an empty one.
 inline std::optional<int> best_fit(const Site& site,
                                    const workload::VmShape& shape) {
-  const auto& servers = site.servers();
+  const auto n = static_cast<std::size_t>(site.config().n_servers);
   std::optional<int> best;
   int best_free = 0;
   bool best_used = false;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    const ServerState& s = servers[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const ServerState s = site.server(i);
     if (site.server_failed(i) || s.free_cores < shape.cores ||
         s.free_memory_gb < shape.memory_gb) {
       continue;
@@ -61,11 +61,11 @@ inline std::optional<int> best_fit(const Site& site,
 /// Most free cores; ties to the lowest index.
 inline std::optional<int> worst_fit(const Site& site,
                                     const workload::VmShape& shape) {
-  const auto& servers = site.servers();
+  const auto n = static_cast<std::size_t>(site.config().n_servers);
   std::optional<int> best;
   int best_free = -1;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    const ServerState& s = servers[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const ServerState s = site.server(i);
     if (site.server_failed(i) || s.free_cores < shape.cores ||
         s.free_memory_gb < shape.memory_gb) {
       continue;
@@ -78,29 +78,19 @@ inline std::optional<int> worst_fit(const Site& site,
   return best;
 }
 
-/// Least free cores, then least free memory, then lowest index.
-inline std::optional<int> protean(const Site& site,
-                                  const workload::VmShape& shape) {
-  const auto& servers = site.servers();
-  std::optional<int> best;
-  int best_free_cores = 0;
-  double best_free_mem = 0.0;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    const ServerState& s = servers[i];
-    if (site.server_failed(i) || s.free_cores < shape.cores ||
-        s.free_memory_gb < shape.memory_gb) {
-      continue;
-    }
-    const bool better =
-        !best || s.free_cores < best_free_cores ||
-        (s.free_cores == best_free_cores && s.free_memory_gb < best_free_mem);
-    if (better) {
-      best = static_cast<int>(i);
-      best_free_cores = s.free_cores;
-      best_free_mem = s.free_memory_gb;
-    }
+/// Adapts one of the scans above into an AllocationPolicy, so tests can
+/// place first-fit or worst-fit (production places best-fit only).
+class ScanPolicy final : public AllocationPolicy {
+ public:
+  using Scan = std::optional<int> (*)(const Site&, const workload::VmShape&);
+  explicit ScanPolicy(Scan scan) : scan_{scan} {}
+  std::optional<int> choose(const Site& site,
+                            const workload::VmShape& shape) override {
+    return scan_(site, shape);
   }
-  return best;
-}
+
+ private:
+  Scan scan_;
+};
 
 }  // namespace vbatt::dcsim::scan_reference

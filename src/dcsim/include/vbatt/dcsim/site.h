@@ -5,19 +5,17 @@
 // policy: power down unallocated cores first, then evict VMs from servers
 // in round-robin order.
 //
-// The container is event-driven: every mutation (place / remove / shrink)
-// maintains three incremental indices so the per-tick simulators never
-// rescan the cluster —
-//   * a free-cores bucket index (one bitset of server ids per free-core
-//     count) that answers all four allocation-policy `choose` queries in
-//     O(#buckets) instead of O(n_servers), returning the same server id as
-//     the linear scan (see scan_reference.h for the retained reference);
-//   * a calendar queue (min-heap on end_tick) so collect_departures costs
-//     O(departures · log n) instead of a full-VM sweep;
-//   * per-server victim order (degradable first, then vm_id) kept as an
-//     ordered set so shrink_to no longer rebuilds and sorts a by-server
-//     table on every power dip;
-// plus O(1) powered-server / active-core counters for energy accounting.
+// Site is VM identity over a one-site SiteBlock. The block owns every
+// per-server structure — the free-cores bucket index, best-fit choice,
+// per-server victim order, the round-robin shrink cursor, fail/repair and
+// the powered/allocated counters (see site_block.h). Site adds what the
+// block leaves out:
+//   * the vm_id -> VmInstance store (evictions come back as whole VMs);
+//   * a departure calendar (min-heap on end_tick) so collect_departures
+//     costs O(departures · log n) instead of a full-VM sweep;
+//   * the AllocationPolicy hook: place asks the policy once and commits
+//     wherever it answers;
+//   * admission control against the utilization cap.
 #pragma once
 
 #include <cstdint>
@@ -28,26 +26,11 @@
 #include <utility>
 #include <vector>
 
+#include "vbatt/dcsim/site_block.h"
 #include "vbatt/util/time.h"
 #include "vbatt/workload/vm.h"
 
 namespace vbatt::dcsim {
-
-struct ServerSpec {
-  int cores = 40;
-  double memory_gb = 512.0;
-};
-
-struct SiteConfig {
-  int n_servers = 700;
-  ServerSpec server{};
-  /// Admission control rejects VMs that would push allocated cores above
-  /// this fraction of the *currently powered* capacity (the paper's 70%).
-  /// The 30% headroom is exactly what lets minor power dips be absorbed by
-  /// powering down unallocated cores (Fig. 4a: >80% of power changes cause
-  /// no migration).
-  double utilization_cap = 0.70;
-};
 
 /// A VM resident on (or pending for) a site.
 struct VmInstance {
@@ -59,13 +42,6 @@ struct VmInstance {
   util::Tick end_tick = -1;
   /// Server currently hosting the VM (meaningful for placed VMs only).
   int server = -1;
-};
-
-/// Per-server free-resource bookkeeping.
-struct ServerState {
-  int free_cores = 0;
-  double free_memory_gb = 0.0;
-  int vm_count = 0;
 };
 
 class Site;
@@ -87,34 +63,39 @@ class Site {
   int total_cores() const noexcept {
     return config_.n_servers * config_.server.cores;
   }
-  int allocated_cores() const noexcept { return allocated_cores_; }
-  double allocated_memory_gb() const noexcept { return allocated_memory_gb_; }
+  int allocated_cores() const { return block_.allocated_cores(0); }
+  double allocated_memory_gb() const { return block_.allocated_memory_gb(0); }
   std::size_t vm_count() const noexcept { return vms_.size(); }
-  double utilization() const noexcept {
-    return static_cast<double>(allocated_cores_) / total_cores();
+  double utilization() const {
+    return static_cast<double>(allocated_cores()) / total_cores();
   }
 
-  const std::vector<ServerState>& servers() const noexcept { return servers_; }
+  /// Free resources of server `i` (0 <= i < config().n_servers).
+  ServerState server(std::size_t i) const {
+    return block_.server(0, static_cast<int>(i));
+  }
 
-  /// Servers currently hosting at least one VM (those draw power);
-  /// maintained incrementally, O(1).
-  int powered_servers() const noexcept { return powered_servers_; }
-  /// Cores in use on powered servers — equals allocated cores, since only
-  /// VMs allocate and only VM-hosting servers are powered. O(1), kept as
-  /// its own accessor so energy accounting reads as intended.
-  int active_cores() const noexcept { return allocated_cores_; }
+  /// The one-site block holding every server's state.
+  const SiteBlock& block() const noexcept { return block_; }
+
+  /// Servers currently hosting at least one VM (those draw power); O(1).
+  int powered_servers() const { return block_.powered_servers(0); }
+  /// Cores in use on powered servers — equals allocated cores. O(1), kept
+  /// as its own accessor so energy accounting reads as intended.
+  int active_cores() const { return block_.active_cores(0); }
 
   /// Cores that must stay powered: exactly the allocated ones (unallocated
   /// cores are powered down for free — the paper's first-line response).
-  int required_cores() const noexcept { return allocated_cores_; }
+  int required_cores() const { return allocated_cores(); }
 
   /// Whether a VM of `shape` passes admission control (utilization cap and
   /// the current power budget of `available_cores`).
   bool admits(const workload::VmShape& shape, int available_cores) const;
 
-  /// Place a VM via `policy`. Returns false if no server fits (admission
-  /// must be checked by the caller; placement can still fail on
-  /// fragmentation).
+  /// Place a VM where `policy` chooses (one choose call per place).
+  /// Returns false if no server fits (admission must be checked by the
+  /// caller; placement can still fail on fragmentation). Throws
+  /// std::invalid_argument on a vm_id already resident.
   bool place(const VmInstance& vm, AllocationPolicy& policy);
 
   /// Remove a VM (departure or migration); no-op returns nullopt if absent.
@@ -124,21 +105,18 @@ class Site {
   /// order until allocated cores <= available_cores. Evicted VMs are
   /// returned (the caller decides whether they migrate or die). Degradable
   /// VMs on a server are evicted before stable ones — they absorb the hit,
-  /// per §3.1's "sources of benefits". Victim order is maintained
-  /// incrementally per server; nothing is rebuilt or sorted here.
+  /// per §3.1's "sources of benefits".
   std::vector<VmInstance> shrink_to(int available_cores);
 
-  /// All VMs whose end_tick == t, removed from the site. Served from the
-  /// departure calendar queue: O(departures · log n) per call.
+  /// All VMs whose end_tick <= t, removed from the site, by vm_id. Served
+  /// from the departure calendar: O(departures · log n) per call.
   std::vector<VmInstance> collect_departures(util::Tick t);
 
   /// Hardware fault injection: take `count` healthy servers offline
   /// (lowest index first). Resident VMs are evicted and returned —
-  /// degradable before stable per server, then by vm_id, the same
-  /// priority-class order shrink_to uses. Failed servers leave the
-  /// free-cores bucket index, so no allocation policy can choose them
-  /// until repair. Returns fewer evictions than requested servers imply
-  /// when the site runs out of healthy servers.
+  /// degradable before stable per server, then by vm_id, the same order
+  /// shrink_to uses. Failed servers are invisible to placement until
+  /// repair. Fewer servers fail when the site runs out of healthy ones.
   std::vector<VmInstance> fail_servers(int count);
 
   /// Return `count` failed servers to service (lowest index first). The
@@ -147,61 +125,29 @@ class Site {
   void repair_servers(int count);
 
   /// Servers currently offline due to fail_servers.
-  int failed_servers() const noexcept { return failed_servers_; }
+  int failed_servers() const { return block_.failed_servers(0); }
 
-  /// Whether server `i` is offline (invisible to every choose_* query).
-  bool server_failed(std::size_t i) const noexcept {
-    return failed_[i] != 0;
+  /// Whether server `i` is offline (never a placement candidate).
+  bool server_failed(std::size_t i) const {
+    return block_.server_failed(0, static_cast<int>(i));
   }
 
   /// Cores on servers currently in service (total minus failed capacity);
   /// the capacity ceiling fault-aware callers should plan against.
-  int online_cores() const noexcept {
-    return (config_.n_servers - failed_servers_) * config_.server.cores;
+  int online_cores() const {
+    return (config_.n_servers - failed_servers()) * config_.server.cores;
   }
 
   /// Look up a resident VM.
   const VmInstance* find(std::int64_t vm_id) const;
 
-  // Indexed allocation queries (used by the AllocationPolicy
-  // implementations below). Each walks the free-cores buckets instead of
-  // the server array and returns the exact server id the corresponding
-  // linear scan in scan_reference.h would return.
-  std::optional<int> choose_first_fit(const workload::VmShape& shape) const;
-  std::optional<int> choose_best_fit(const workload::VmShape& shape) const;
-  std::optional<int> choose_worst_fit(const workload::VmShape& shape) const;
-  std::optional<int> choose_protean(const workload::VmShape& shape) const;
-
  private:
-  void detach(const VmInstance& vm);
-  void move_bucket(int server, int old_free, int new_free);
-  /// Lowest-index server in bucket `b` at or after `from` whose free
-  /// memory fits; -1 if none.
-  int first_fit_in_bucket(int b, const workload::VmShape& shape) const;
+  /// Moves the block's evictions out of the VM store, in order.
+  std::vector<VmInstance> take(const std::vector<SiteBlock::Evicted>& out);
 
   SiteConfig config_;
-  std::vector<ServerState> servers_;
+  SiteBlock block_;
   std::unordered_map<std::int64_t, VmInstance> vms_;
-  int allocated_cores_ = 0;
-  double allocated_memory_gb_ = 0.0;
-  int powered_servers_ = 0;
-  int failed_servers_ = 0;
-  /// failed_[i] != 0 while server i is offline (fault injection).
-  std::vector<char> failed_;
-  /// Round-robin eviction cursor over servers (persists across shrinks, as
-  /// in the paper's round-robin order).
-  int eviction_cursor_ = 0;
-
-  /// Free-cores bucket index: buckets_[f] is a bitset of server ids whose
-  /// free_cores == f; bucket_count_[f] its population (lets chooses skip
-  /// empty buckets in O(1)).
-  std::vector<std::vector<std::uint64_t>> buckets_;
-  std::vector<int> bucket_count_;
-
-  /// Per-server eviction order: (0 for degradable / 1 for stable, vm_id),
-  /// kept as a flat sorted vector — a server hosts few VMs, so shifting on
-  /// insert/erase beats a node-based set's allocation per placement.
-  std::vector<std::vector<std::pair<int, std::int64_t>>> victims_;
 
   /// Departure calendar queue: (end_tick, vm_id), lazily invalidated —
   /// entries whose VM is gone or re-placed with a different end_tick are
@@ -210,13 +156,6 @@ class Site {
   std::priority_queue<Departure, std::vector<Departure>,
                       std::greater<Departure>>
       departures_;
-};
-
-/// First server with room.
-class FirstFitPolicy final : public AllocationPolicy {
- public:
-  std::optional<int> choose(const Site& site,
-                            const workload::VmShape& shape) override;
 };
 
 /// Server with the least free cores that still fits: consolidates load so
@@ -228,24 +167,6 @@ class FirstFitPolicy final : public AllocationPolicy {
 /// and is what produces the paper's ">80% of power changes cause no
 /// migration".
 class BestFitPolicy final : public AllocationPolicy {
- public:
-  std::optional<int> choose(const Site& site,
-                            const workload::VmShape& shape) override;
-};
-
-/// Server with the most free cores: anti-consolidation baseline for
-/// ablations.
-class WorstFitPolicy final : public AllocationPolicy {
- public:
-  std::optional<int> choose(const Site& site,
-                            const workload::VmShape& shape) override;
-};
-
-/// Protean-style policy (Hadary et al., OSDI '20 — the paper's VM
-/// allocation reference): consolidate like best-fit, but break core ties
-/// by least free memory so both dimensions pack tightly and large-memory
-/// VMs keep landing spots.
-class ProteanLikePolicy final : public AllocationPolicy {
  public:
   std::optional<int> choose(const Site& site,
                             const workload::VmShape& shape) override;

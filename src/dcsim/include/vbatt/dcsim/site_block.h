@@ -1,36 +1,56 @@
-// SoA container for a contiguous block of sites — one simulation shard.
+// Per-server state of a contiguous block of sites — the one implementation
+// of a site's servers, used with one site by dcsim::Site (Fig 4) and with
+// a whole shard of sites by the fleet engine.
 //
-// Site keeps each VM as a node in a per-site unordered_map and each
-// server's bookkeeping behind two levels of vector indirection; at fleet
-// scale (1000 sites, millions of VMs) that scatters the hot state of a
-// shard across the heap and pays a hash or an allocation per placement.
-// SiteBlock stores the same state as flat parallel arrays shared by every
-// site in the block — server free-resource columns, one contiguous
-// free-cores bucket-bitset region, per-server victim lists that carry the
-// victim's shape inline — so a shard's tick touches a few dense arrays
-// instead of chasing pointers.
-//
-// Semantics are a field-for-field port of Site under BestFitPolicy (the
-// only policy the VM-level engine uses): place answers with the exact
-// server id Site would pick, shrink_to uses the same persistent
-// round-robin cursor (advanced by one only when the call had to evict),
-// and fail/repair walk servers lowest-index-first. The
-// differential test in tests/test_dcsim_site_block.cpp drives both
-// containers through identical op streams and demands identical answers.
-// What SiteBlock deliberately does not replicate: Site's internal
-// departure calendar (the VM-level engine keeps its own app-level
-// calendar and never calls collect_departures) and per-VM instance storage
-// (the engine owns VM identity in its own SoA arrays; SiteBlock only
-// needs each resident's shape, which its victim entries carry).
+// The state is flat parallel arrays shared by every site in the block:
+// server free-resource columns, one contiguous free-cores bucket-bitset
+// region (a bitset of server ids per free-core count, plus a per-site mask
+// of nonempty buckets), and per-server victim lists that carry the
+// victim's shape inline. A tick touches a few dense arrays instead of
+// chasing pointers, and no operation sweeps the servers:
+//   * best_fit walks the nonempty buckets from the shape's core count up
+//     and returns the exact server id scan_reference::best_fit would;
+//   * shrink_to evicts round-robin from a persistent cursor (advanced by
+//     one only when the call had to evict), each server's victims in
+//     order (degradable first, then vm_id);
+//   * fail/repair walk servers lowest-index-first; a failed server leaves
+//     the bucket index, so no placement can see it until repair;
+//   * powered-server and allocated-core counters are kept incrementally.
+// What SiteBlock deliberately leaves out is VM identity: it stores each
+// resident's shape, class and id in its victim entry and nothing else.
+// dcsim::Site adds the vm_id -> VmInstance store and a departure calendar
+// on top of a one-site block; the fleet engine keeps VM identity in its
+// own SoA arrays and its own app-level calendar.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "vbatt/dcsim/site.h"
-
 namespace vbatt::dcsim {
+
+struct ServerSpec {
+  int cores = 40;
+  double memory_gb = 512.0;
+};
+
+struct SiteConfig {
+  int n_servers = 700;
+  ServerSpec server{};
+  /// Admission control rejects VMs that would push allocated cores above
+  /// this fraction of the *currently powered* capacity (the paper's 70%).
+  /// The 30% headroom is exactly what lets minor power dips be absorbed by
+  /// powering down unallocated cores (Fig. 4a: >80% of power changes cause
+  /// no migration).
+  double utilization_cap = 0.70;
+};
+
+/// Per-server free-resource bookkeeping.
+struct ServerState {
+  int free_cores = 0;
+  double free_memory_gb = 0.0;
+  int vm_count = 0;
+};
 
 class SiteBlock {
  public:
@@ -55,13 +75,33 @@ class SiteBlock {
   double allocated_memory_gb(std::size_t s) const {
     return sites_[s].allocated_memory_gb;
   }
+  /// Servers hosting at least one VM (those draw power).
   int powered_servers(std::size_t s) const { return sites_[s].powered_servers; }
-  /// Equals allocated cores — see Site::active_cores.
+  /// Cores in use on powered servers — equals allocated cores, since only
+  /// VMs allocate and only VM-hosting servers are powered.
   int active_cores(std::size_t s) const { return sites_[s].allocated_cores; }
   int failed_servers(std::size_t s) const { return sites_[s].failed_servers; }
 
-  /// Choose a server best-fit and commit the placement. Returns the
-  /// hosting server id (identical to Site::place via BestFitPolicy) or -1
+  /// Free resources of server `i` of site `s`. A failed server keeps its
+  /// (fully free) state but is never a placement candidate.
+  ServerState server(std::size_t s, int i) const {
+    const std::size_t idx = sites_[s].server_base + static_cast<std::size_t>(i);
+    return ServerState{free_cores_[idx], free_memory_gb_[idx], vm_count_[idx]};
+  }
+  bool server_failed(std::size_t s, int i) const {
+    return failed_[sites_[s].server_base + static_cast<std::size_t>(i)] != 0;
+  }
+
+  /// The best-fit server for a shape: least free cores that still fit,
+  /// ties to a server already hosting VMs (never start an empty server if
+  /// a used one fits), then the lowest id. -1 when no server fits.
+  int best_fit(std::size_t s, int cores, double memory_gb) const;
+
+  /// Commit a placement at `server` (any server; the caller chose it).
+  void commit(std::size_t s, int server, std::int64_t vm_id, int cores,
+              double memory_gb, bool degradable);
+
+  /// best_fit, then commit there. Returns the hosting server id or -1
   /// when no server fits.
   int place(std::size_t s, std::int64_t vm_id, int cores, double memory_gb,
             bool degradable);
@@ -72,14 +112,14 @@ class SiteBlock {
               double memory_gb, bool degradable);
 
   /// Evict round-robin until allocated cores <= available_cores,
-  /// appending victims to `out` in eviction order (Site::shrink_to's
-  /// order: degradable first, then vm_id, per server). The persistent
-  /// cursor advances only when the site was over budget on entry.
+  /// appending victims to `out` in eviction order (degradable first, then
+  /// vm_id, per server). The persistent cursor advances only when the
+  /// site was over budget on entry.
   void shrink_to(std::size_t s, int available_cores,
                  std::vector<Evicted>& out);
 
   /// Take `count` healthy servers offline (lowest index first), evicting
-  /// their residents into `out` in Site::fail_servers order.
+  /// their residents into `out` in the same per-server victim order.
   void fail_servers(std::size_t s, int count, std::vector<Evicted>& out);
 
   /// Return `count` failed servers to service (lowest index first).
@@ -118,14 +158,10 @@ class SiteBlock {
 
   void move_bucket(const SiteState& site, int server, int old_free,
                    int new_free);
-  void attach(SiteState& site, int server, std::int64_t vm_id, int cores,
-              double memory_gb, bool degradable);
   /// Pops the victim entry and restores free resources; `entry` must be a
   /// current victim of `server`.
   void detach(SiteState& site, int server, const Victim& entry);
 
-  int choose_best_fit(const SiteState& site, int cores,
-                      double memory_gb) const;
   /// Lowest-index fitting server in bucket `b` of `site`; -1 if none.
   int first_fit_in_bucket(const SiteState& site, int b, int cores,
                           double memory_gb) const;
@@ -161,9 +197,9 @@ class SiteBlock {
   std::vector<std::uint64_t> bucket_words_;
   /// Population per (site, bucket), flat at bucket_count_base + b.
   std::vector<int> bucket_count_;
-  /// One bit per bucket, set while the bucket is nonempty, so choose
-  /// queries skip empty fill levels with a bit scan instead of walking
-  /// the count array. Site s's mask starts at s * mask_words_.
+  /// One bit per bucket, set while the bucket is nonempty, so best_fit
+  /// skips empty fill levels with a bit scan instead of walking the count
+  /// array. Site s's mask starts at s * mask_words_.
   std::vector<std::uint64_t> bucket_mask_;
   std::size_t mask_words_ = 0;
 

@@ -1,23 +1,13 @@
 #include "vbatt/dcsim/site.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace vbatt::dcsim {
 
 namespace {
 
-constexpr std::size_t kWordBits = 64;
-
-/// Eviction rank within a server: degradable VMs go first.
-int victim_rank(const VmInstance& vm) {
-  return vm.vm_class == workload::VmClass::degradable ? 0 : 1;
-}
-
-}  // namespace
-
-Site::Site(SiteConfig config) : config_{config} {
+const SiteConfig& validated(const SiteConfig& config) {
   if (config.n_servers <= 0 || config.server.cores <= 0 ||
       config.server.memory_gb <= 0.0) {
     throw std::invalid_argument{"SiteConfig: non-positive capacity"};
@@ -25,43 +15,21 @@ Site::Site(SiteConfig config) : config_{config} {
   if (config.utilization_cap <= 0.0 || config.utilization_cap > 1.0) {
     throw std::invalid_argument{"SiteConfig: utilization_cap out of (0, 1]"};
   }
-  const auto n = static_cast<std::size_t>(config.n_servers);
-  servers_.assign(n,
-                  ServerState{config.server.cores, config.server.memory_gb, 0});
-  victims_.assign(n, {});
-  failed_.assign(n, 0);
-
-  const std::size_t n_words = (n + kWordBits - 1) / kWordBits;
-  buckets_.assign(static_cast<std::size_t>(config.server.cores) + 1,
-                  std::vector<std::uint64_t>(n_words, 0));
-  bucket_count_.assign(buckets_.size(), 0);
-  // Every server starts empty: all of them live in the top (all-free)
-  // bucket.
-  std::vector<std::uint64_t>& top = buckets_.back();
-  for (std::size_t i = 0; i < n; ++i) {
-    top[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
-  }
-  bucket_count_.back() = config.n_servers;
+  return config;
 }
 
-void Site::move_bucket(int server, int old_free, int new_free) {
-  // Clamp defensively: a misbehaving policy that overcommits a server must
-  // not index out of range (candidates re-check free_cores anyway).
-  const int top = config_.server.cores;
-  const auto from = static_cast<std::size_t>(std::clamp(old_free, 0, top));
-  const auto to = static_cast<std::size_t>(std::clamp(new_free, 0, top));
-  if (from == to) return;
-  const auto i = static_cast<std::size_t>(server);
-  const std::uint64_t bit = std::uint64_t{1} << (i % kWordBits);
-  buckets_[from][i / kWordBits] &= ~bit;
-  buckets_[to][i / kWordBits] |= bit;
-  --bucket_count_[from];
-  ++bucket_count_[to];
+bool degradable(const VmInstance& vm) {
+  return vm.vm_class == workload::VmClass::degradable;
 }
+
+}  // namespace
+
+Site::Site(SiteConfig config)
+    : config_{validated(config)}, block_{{config_}} {}
 
 bool Site::admits(const workload::VmShape& shape,
                   int available_cores) const {
-  const int after = allocated_cores_ + shape.cores;
+  const int after = allocated_cores() + shape.cores;
   const double cap = config_.utilization_cap *
                      static_cast<double>(std::min(available_cores,
                                                   total_cores()));
@@ -74,73 +42,42 @@ bool Site::place(const VmInstance& vm, AllocationPolicy& policy) {
   }
   const std::optional<int> server = policy.choose(*this, vm.shape);
   if (!server) return false;
-  ServerState& s = servers_[static_cast<std::size_t>(*server)];
-  const int old_free = s.free_cores;
-  s.free_cores -= vm.shape.cores;
-  s.free_memory_gb -= vm.shape.memory_gb;
-  if (++s.vm_count == 1) ++powered_servers_;
-  move_bucket(*server, old_free, s.free_cores);
-  allocated_cores_ += vm.shape.cores;
-  allocated_memory_gb_ += vm.shape.memory_gb;
+  block_.commit(0, *server, vm.vm_id, vm.shape.cores, vm.shape.memory_gb,
+                degradable(vm));
   VmInstance placed = vm;
   placed.server = *server;
-  std::vector<std::pair<int, std::int64_t>>& order =
-      victims_[static_cast<std::size_t>(*server)];
-  const std::pair<int, std::int64_t> key{victim_rank(placed), placed.vm_id};
-  order.insert(std::lower_bound(order.begin(), order.end(), key), key);
   if (placed.end_tick >= 0) departures_.emplace(placed.end_tick, placed.vm_id);
   vms_.emplace(vm.vm_id, placed);
   return true;
-}
-
-void Site::detach(const VmInstance& vm) {
-  ServerState& s = servers_[static_cast<std::size_t>(vm.server)];
-  const int old_free = s.free_cores;
-  s.free_cores += vm.shape.cores;
-  s.free_memory_gb += vm.shape.memory_gb;
-  if (--s.vm_count == 0) --powered_servers_;
-  move_bucket(vm.server, old_free, s.free_cores);
-  std::vector<std::pair<int, std::int64_t>>& order =
-      victims_[static_cast<std::size_t>(vm.server)];
-  const std::pair<int, std::int64_t> key{victim_rank(vm), vm.vm_id};
-  order.erase(std::lower_bound(order.begin(), order.end(), key));
-  allocated_cores_ -= vm.shape.cores;
-  allocated_memory_gb_ -= vm.shape.memory_gb;
-  // Any calendar-queue entry for this VM goes stale and is skipped on pop.
 }
 
 std::optional<VmInstance> Site::remove(std::int64_t vm_id) {
   const auto it = vms_.find(vm_id);
   if (it == vms_.end()) return std::nullopt;
   const VmInstance vm = it->second;
-  detach(vm);
+  block_.remove(0, vm.server, vm.vm_id, vm.shape.cores, vm.shape.memory_gb,
+                degradable(vm));
   vms_.erase(it);
+  // Any calendar-queue entry for this VM goes stale and is skipped on pop.
   return vm;
 }
 
-std::vector<VmInstance> Site::shrink_to(int available_cores) {
+std::vector<VmInstance> Site::take(
+    const std::vector<SiteBlock::Evicted>& out) {
   std::vector<VmInstance> evicted;
-  if (allocated_cores_ <= available_cores) return evicted;
-
-  // Round-robin over servers from the persistent cursor; within a server
-  // the victim order (degradable first, then vm_id) is already maintained
-  // by place/detach.
-  const int n = static_cast<int>(servers_.size());
-  for (int step = 0; step < n && allocated_cores_ > available_cores;
-       ++step) {
-    const auto server =
-        static_cast<std::size_t>((eviction_cursor_ + step) % n);
-    std::vector<std::pair<int, std::int64_t>>& order = victims_[server];
-    while (!order.empty() && allocated_cores_ > available_cores) {
-      const std::int64_t id = order.front().second;
-      const VmInstance vm = vms_.at(id);
-      evicted.push_back(vm);
-      detach(vm);  // also pops the victim entry
-      vms_.erase(id);
-    }
+  evicted.reserve(out.size());
+  for (const SiteBlock::Evicted& e : out) {
+    const auto it = vms_.find(e.vm_id);
+    evicted.push_back(it->second);
+    vms_.erase(it);
   }
-  eviction_cursor_ = (eviction_cursor_ + 1) % n;
   return evicted;
+}
+
+std::vector<VmInstance> Site::shrink_to(int available_cores) {
+  std::vector<SiteBlock::Evicted> out;
+  block_.shrink_to(0, available_cores, out);
+  return take(out);
 }
 
 std::vector<VmInstance> Site::collect_departures(util::Tick t) {
@@ -152,9 +89,7 @@ std::vector<VmInstance> Site::collect_departures(util::Tick t) {
     // Stale entries: the VM left earlier (remove/evict) or was re-placed
     // with a different end_tick (its live entry is elsewhere in the heap).
     if (it == vms_.end() || it->second.end_tick != end_tick) continue;
-    out.push_back(it->second);
-    detach(it->second);
-    vms_.erase(it);
+    out.push_back(*remove(vm_id));
   }
   // Deterministic order (the heap yields end_tick order, not vm_id order).
   std::sort(out.begin(), out.end(),
@@ -165,202 +100,23 @@ std::vector<VmInstance> Site::collect_departures(util::Tick t) {
 }
 
 std::vector<VmInstance> Site::fail_servers(int count) {
-  std::vector<VmInstance> evicted;
-  const int n = config_.n_servers;
-  for (int i = 0; i < n && count > 0; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (failed_[idx]) continue;
-    --count;
-    // Evict residents in the per-server victim order (degradable first,
-    // then vm_id — the same priority-class order a power shrink uses).
-    std::vector<std::pair<int, std::int64_t>>& order = victims_[idx];
-    while (!order.empty()) {
-      const std::int64_t id = order.front().second;
-      const VmInstance vm = vms_.at(id);
-      evicted.push_back(vm);
-      detach(vm);  // also pops the victim entry
-      vms_.erase(id);
-    }
-    // The server is empty now (all cores free): pull it out of the top
-    // bucket so no choose_* query can see it until repair.
-    ServerState& s = servers_[idx];
-    const auto bucket = static_cast<std::size_t>(s.free_cores);
-    buckets_[bucket][idx / kWordBits] &=
-        ~(std::uint64_t{1} << (idx % kWordBits));
-    --bucket_count_[bucket];
-    failed_[idx] = 1;
-    ++failed_servers_;
-  }
-  return evicted;
+  std::vector<SiteBlock::Evicted> out;
+  block_.fail_servers(0, count, out);
+  return take(out);
 }
 
-void Site::repair_servers(int count) {
-  const int n = config_.n_servers;
-  for (int i = 0; i < n && count > 0; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (!failed_[idx]) continue;
-    --count;
-    const auto bucket = static_cast<std::size_t>(servers_[idx].free_cores);
-    buckets_[bucket][idx / kWordBits] |= std::uint64_t{1}
-                                         << (idx % kWordBits);
-    ++bucket_count_[bucket];
-    failed_[idx] = 0;
-    --failed_servers_;
-  }
-}
+void Site::repair_servers(int count) { block_.repair_servers(0, count); }
 
 const VmInstance* Site::find(std::int64_t vm_id) const {
   const auto it = vms_.find(vm_id);
   return it == vms_.end() ? nullptr : &it->second;
 }
 
-int Site::first_fit_in_bucket(int b, const workload::VmShape& shape) const {
-  const std::vector<std::uint64_t>& words = buckets_[static_cast<std::size_t>(b)];
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const auto i = w * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const ServerState& s = servers_[i];
-      if (s.free_cores >= shape.cores && s.free_memory_gb >= shape.memory_gb) {
-        return static_cast<int>(i);
-      }
-    }
-  }
-  return -1;
-}
-
-std::optional<int> Site::choose_first_fit(
-    const workload::VmShape& shape) const {
-  const int top = config_.server.cores;
-  const int lo = std::clamp(shape.cores, 0, top + 1);
-  if (lo > top) return std::nullopt;
-  // Lowest server id across every viable bucket: merge the buckets word by
-  // word so ids come out in index order.
-  const std::size_t n_words = buckets_.front().size();
-  for (std::size_t w = 0; w < n_words; ++w) {
-    std::uint64_t merged = 0;
-    for (int b = lo; b <= top; ++b) {
-      if (bucket_count_[static_cast<std::size_t>(b)] > 0) {
-        merged |= buckets_[static_cast<std::size_t>(b)][w];
-      }
-    }
-    while (merged != 0) {
-      const auto i = w * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(merged));
-      merged &= merged - 1;
-      const ServerState& s = servers_[i];
-      if (s.free_cores >= shape.cores && s.free_memory_gb >= shape.memory_gb) {
-        return static_cast<int>(i);
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<int> Site::choose_best_fit(
-    const workload::VmShape& shape) const {
-  const int top = config_.server.cores;
-  const int lo = std::clamp(shape.cores, 0, top + 1);
-  // Buckets below the top hold only partially-used servers (an empty
-  // server has every core free), so the first fit there is the answer.
-  for (int b = lo; b < top; ++b) {
-    if (bucket_count_[static_cast<std::size_t>(b)] == 0) continue;
-    const int hit = first_fit_in_bucket(b, shape);
-    if (hit >= 0) return hit;
-  }
-  if (lo > top || bucket_count_[static_cast<std::size_t>(top)] == 0) {
-    return std::nullopt;
-  }
-  // Top bucket: prefer a server already hosting VMs (never start an empty
-  // server if a partially-used one fits) — only zero-core VMs can put a
-  // used server here.
-  int first_empty = -1;
-  const std::vector<std::uint64_t>& words =
-      buckets_[static_cast<std::size_t>(top)];
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const auto i = w * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const ServerState& s = servers_[i];
-      if (s.free_cores < shape.cores || s.free_memory_gb < shape.memory_gb) {
-        continue;
-      }
-      if (s.vm_count > 0) return static_cast<int>(i);
-      if (first_empty < 0) first_empty = static_cast<int>(i);
-    }
-  }
-  if (first_empty >= 0) return first_empty;
-  return std::nullopt;
-}
-
-std::optional<int> Site::choose_worst_fit(
-    const workload::VmShape& shape) const {
-  const int top = config_.server.cores;
-  const int lo = std::clamp(shape.cores, 0, top + 1);
-  for (int b = top; b >= lo; --b) {
-    if (bucket_count_[static_cast<std::size_t>(b)] == 0) continue;
-    const int hit = first_fit_in_bucket(b, shape);
-    if (hit >= 0) return hit;
-  }
-  return std::nullopt;
-}
-
-std::optional<int> Site::choose_protean(
-    const workload::VmShape& shape) const {
-  const int top = config_.server.cores;
-  const int lo = std::clamp(shape.cores, 0, top + 1);
-  for (int b = lo; b <= top; ++b) {
-    if (bucket_count_[static_cast<std::size_t>(b)] == 0) continue;
-    // Within the lowest viable bucket: least free memory, ties to the
-    // lowest id (strict < keeps the earlier server, as the scan does).
-    int best = -1;
-    double best_mem = 0.0;
-    const std::vector<std::uint64_t>& words =
-        buckets_[static_cast<std::size_t>(b)];
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t bits = words[w];
-      while (bits != 0) {
-        const auto i = w * kWordBits +
-                       static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const ServerState& s = servers_[i];
-        if (s.free_cores < shape.cores ||
-            s.free_memory_gb < shape.memory_gb) {
-          continue;
-        }
-        if (best < 0 || s.free_memory_gb < best_mem) {
-          best = static_cast<int>(i);
-          best_mem = s.free_memory_gb;
-        }
-      }
-    }
-    if (best >= 0) return best;
-  }
-  return std::nullopt;
-}
-
-std::optional<int> FirstFitPolicy::choose(const Site& site,
-                                          const workload::VmShape& shape) {
-  return site.choose_first_fit(shape);
-}
-
 std::optional<int> BestFitPolicy::choose(const Site& site,
                                          const workload::VmShape& shape) {
-  return site.choose_best_fit(shape);
-}
-
-std::optional<int> ProteanLikePolicy::choose(const Site& site,
-                                             const workload::VmShape& shape) {
-  return site.choose_protean(shape);
-}
-
-std::optional<int> WorstFitPolicy::choose(const Site& site,
-                                          const workload::VmShape& shape) {
-  return site.choose_worst_fit(shape);
+  const int server =
+      site.block().best_fit(0, shape.cores, shape.memory_gb);
+  return server < 0 ? std::nullopt : std::optional<int>{server};
 }
 
 }  // namespace vbatt::dcsim

@@ -90,8 +90,8 @@ int SiteBlock::next_nonempty(std::size_t s_index, int from, int limit) const {
 
 void SiteBlock::move_bucket(const SiteState& site, int server, int old_free,
                             int new_free) {
-  // Clamp defensively, as Site does: a shape larger than a server must
-  // not index out of range.
+  // Clamp defensively: a shape larger than a server (or a caller that
+  // commits an overcommitting placement) must not index out of range.
   const auto from = std::clamp(old_free, 0, top_);
   const auto to = std::clamp(new_free, 0, top_);
   if (from == to) return;
@@ -109,8 +109,9 @@ void SiteBlock::move_bucket(const SiteState& site, int server, int old_free,
   }
 }
 
-void SiteBlock::attach(SiteState& site, int server, std::int64_t vm_id,
+void SiteBlock::commit(std::size_t s, int server, std::int64_t vm_id,
                        int cores, double memory_gb, bool degradable) {
+  SiteState& site = sites_[s];
   const std::size_t idx = site.server_base + static_cast<std::size_t>(server);
   const int old_free = free_cores_[idx];
   const bool was_top_used = old_free == top_ && vm_count_[idx] > 0;
@@ -155,10 +156,8 @@ void SiteBlock::detach(SiteState& site, int server, const Victim& entry) {
 
 int SiteBlock::place(std::size_t s, std::int64_t vm_id, int cores,
                      double memory_gb, bool degradable) {
-  SiteState& site = sites_[s];
-  const int server = choose_best_fit(site, cores, memory_gb);
-  if (server < 0) return -1;
-  attach(site, server, vm_id, cores, memory_gb, degradable);
+  const int server = best_fit(s, cores, memory_gb);
+  if (server >= 0) commit(s, server, vm_id, cores, memory_gb, degradable);
   return server;
 }
 
@@ -175,7 +174,7 @@ void SiteBlock::shrink_to(std::size_t s, int available_cores,
 
   // Round-robin over servers from the persistent cursor; within a server
   // the victim order (degradable first, then vm_id) is already maintained
-  // by attach/detach.
+  // by commit/detach.
   const int n = site.n_servers;
   for (int step = 0; step < n && site.allocated_cores > available_cores;
        ++step) {
@@ -211,7 +210,7 @@ void SiteBlock::fail_servers(std::size_t s, int count,
       detach(site, i, entry);  // also pops the victim entry
     }
     // The server is empty now (all cores free): pull it out of the
-    // bucket index so no choose query can see it until repair.
+    // bucket index so no placement query can see it until repair.
     const int b = free_cores_[idx];
     bucket(site, b)[static_cast<std::size_t>(i) / kWordBits] &=
         ~(std::uint64_t{1} << (static_cast<std::size_t>(i) % kWordBits));
@@ -259,10 +258,10 @@ int SiteBlock::first_fit_in_bucket(const SiteState& site, int b, int cores,
   return -1;
 }
 
-int SiteBlock::choose_best_fit(const SiteState& site, int cores,
-                               double memory_gb) const {
+int SiteBlock::best_fit(std::size_t s_index, int cores,
+                        double memory_gb) const {
+  const SiteState& site = sites_[s_index];
   const int lo = std::clamp(cores, 0, top_ + 1);
-  const auto s_index = static_cast<std::size_t>(&site - sites_.data());
   // Buckets below the top hold only partially-used servers (an empty
   // server has every core free), so the first fit there is the answer.
   for (int b = next_nonempty(s_index, lo, top_); b < top_;

@@ -4,7 +4,7 @@
 //   sim     conservation laws on VmLevelResult, thread-count invariance,
 //           empty-chaos identity, and the event-driven engine vs the
 //           frozen seed engine (vm_reference.h)
-//   dcsim   indexed Site::choose_* vs the retained linear scans
+//   dcsim   indexed best-fit (SiteBlock::best_fit) vs the linear scan
 //           (scan_reference.h) on random reachable site states
 //   solver  revised and decomposed engines vs the frozen seed solver
 //           (objective + feasibility certification), decomposed vs

@@ -1,7 +1,7 @@
 // Directed regression: scan_reference ignored failed servers. A failed
-// server keeps its (fully free) ServerState entry in Site::servers() but
-// leaves the bucket index, so after fail_servers the linear-scan oracle
-// offered servers the indexed choose_* correctly refused.
+// server keeps its (fully free) ServerState in Site::server(i) but leaves
+// the bucket index, so after fail_servers the linear-scan oracle offered
+// servers the indexed best-fit correctly refused.
 // Minimized by: vbatt_fuzz --suite=dcsim --cases=25 --seed=1
 #include <gtest/gtest.h>
 
@@ -30,20 +30,14 @@ TEST(DcsimFailedServersRegress, ScanSkipsFailedServers) {
   (void)site.fail_servers(1);  // server 0 offline, server 1 healthy
 
   const workload::VmShape probe{4, 16.0};
-  EXPECT_EQ(dcsim::scan_reference::first_fit(site, probe),
-            site.choose_first_fit(probe));
-  EXPECT_EQ(dcsim::scan_reference::best_fit(site, probe),
-            site.choose_best_fit(probe));
-  EXPECT_EQ(dcsim::scan_reference::worst_fit(site, probe),
-            site.choose_worst_fit(probe));
-  EXPECT_EQ(dcsim::scan_reference::protean(site, probe),
-            site.choose_protean(probe));
-  EXPECT_EQ(dcsim::scan_reference::first_fit(site, probe), 1);
+  dcsim::BestFitPolicy best;
+  EXPECT_EQ(dcsim::scan_reference::best_fit(site, probe), 1);
+  EXPECT_EQ(best.choose(site, probe), 1);
 
   // With every server failed, both sides must refuse.
   (void)site.fail_servers(1);
-  EXPECT_EQ(dcsim::scan_reference::first_fit(site, probe), std::nullopt);
-  EXPECT_EQ(site.choose_first_fit(probe), std::nullopt);
+  EXPECT_EQ(dcsim::scan_reference::best_fit(site, probe), std::nullopt);
+  EXPECT_EQ(best.choose(site, probe), std::nullopt);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // fewer servers (§3.1 step 4's rationale).
 #include <gtest/gtest.h>
 
+#include "vbatt/dcsim/scan_reference.h"
 #include "vbatt/dcsim/site_sim.h"
 #include "vbatt/energy/wind.h"
 #include "vbatt/workload/generator.h"
@@ -54,7 +55,7 @@ TEST(SiteSimEnergy, ConsolidationBeatsSpreading) {
   SiteSimConfig config;
   config.site.n_servers = 20;
   BestFitPolicy best;
-  WorstFitPolicy worst;
+  scan_reference::ScanPolicy worst{scan_reference::worst_fit};
   const auto consolidated =
       simulate_site(full_power(96), small_vms(10), config, best);
   const auto spread =

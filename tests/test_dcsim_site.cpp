@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "vbatt/dcsim/scan_reference.h"
+
 namespace vbatt::dcsim {
 namespace {
+
+using scan_reference::ScanPolicy;
 
 SiteConfig small_site(int servers = 4, int cores = 8, double mem = 32.0) {
   SiteConfig config;
@@ -32,7 +36,7 @@ TEST(Site, ValidatesConfig) {
 
 TEST(Site, PlaceAndRemove) {
   Site site{small_site()};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   EXPECT_TRUE(site.place(vm(1), policy));
   EXPECT_EQ(site.allocated_cores(), 2);
   EXPECT_DOUBLE_EQ(site.allocated_memory_gb(), 8.0);
@@ -48,21 +52,21 @@ TEST(Site, PlaceAndRemove) {
 
 TEST(Site, DuplicateIdThrows) {
   Site site{small_site()};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   EXPECT_TRUE(site.place(vm(1), policy));
   EXPECT_THROW(site.place(vm(1), policy), std::invalid_argument);
 }
 
 TEST(Site, PlacementFailsWhenFull) {
   Site site{small_site(1, 4)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   EXPECT_TRUE(site.place(vm(1, 4), policy));
   EXPECT_FALSE(site.place(vm(2, 1), policy));
 }
 
 TEST(Site, MemoryConstrainsPlacement) {
   Site site{small_site(1, 8, 16.0)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   EXPECT_TRUE(site.place(vm(1, 1, 12.0), policy));
   EXPECT_FALSE(site.place(vm(2, 1, 8.0), policy));  // cores fit, memory not
 }
@@ -70,7 +74,7 @@ TEST(Site, MemoryConstrainsPlacement) {
 TEST(Site, AdmissionCapRelativeToPoweredCores) {
   // 70% cap of 16 available cores = 11.2 -> a VM pushing to 12 is rejected.
   Site site{small_site(4, 8)};  // 32 total
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(vm(1, 8), policy));
   EXPECT_TRUE(site.admits({3, 8.0}, 16));    // 11 <= 11.2
   EXPECT_FALSE(site.admits({4, 8.0}, 16));   // 12 > 11.2
@@ -79,7 +83,7 @@ TEST(Site, AdmissionCapRelativeToPoweredCores) {
 
 TEST(Site, ShrinkPowersDownIdleCoresFirst) {
   Site site{small_site(4, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(vm(1, 4), policy));
   // Plenty of allocated headroom: shrinking to 4 evicts nothing.
   EXPECT_TRUE(site.shrink_to(4).empty());
@@ -98,7 +102,7 @@ TEST(Site, ShrinkEvictsWhenNeeded) {
 
 TEST(Site, ShrinkEvictsDegradableFirst) {
   Site site{small_site(1, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(vm(1, 4, 8.0, workload::VmClass::stable), policy));
   ASSERT_TRUE(site.place(vm(2, 4, 8.0, workload::VmClass::degradable), policy));
   const auto evicted = site.shrink_to(4);
@@ -109,7 +113,7 @@ TEST(Site, ShrinkEvictsDegradableFirst) {
 
 TEST(Site, ShrinkToZeroEvictsEverything) {
   Site site{small_site()};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(site.place(vm(i), policy));
   const auto evicted = site.shrink_to(0);
   EXPECT_EQ(evicted.size(), 6u);
@@ -119,7 +123,7 @@ TEST(Site, ShrinkToZeroEvictsEverything) {
 
 TEST(Site, CollectDeparturesRemovesEndedVms) {
   Site site{small_site()};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   VmInstance a = vm(1);
   a.end_tick = 5;
   VmInstance b = vm(2);
@@ -142,7 +146,7 @@ TEST(Site, CollectDeparturesRemovesEndedVms) {
 
 TEST(Site, FailServersEvictsResidentsDegradableFirst) {
   Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(vm(1, 4, 8.0, workload::VmClass::stable), policy));
   ASSERT_TRUE(site.place(vm(2, 4, 8.0, workload::VmClass::degradable), policy));
   ASSERT_TRUE(site.place(vm(3, 4), policy));  // lands on server 1
@@ -159,7 +163,7 @@ TEST(Site, FailServersEvictsResidentsDegradableFirst) {
 
 TEST(Site, FailedServersAreNotPlaceable) {
   Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   site.fail_servers(1);
   // Only server 1 can host anything now; the 8-core VM fills it and the
   // next placement must fail even though server 0 looks empty.
@@ -170,7 +174,7 @@ TEST(Site, FailedServersAreNotPlaceable) {
 
 TEST(Site, RepairReturnsServersToService) {
   Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   site.fail_servers(2);
   EXPECT_EQ(site.failed_servers(), 2);
   EXPECT_EQ(site.online_cores(), 0);
@@ -188,7 +192,7 @@ TEST(Site, RepairReturnsServersToService) {
 
 TEST(Site, FailMoreServersThanHealthyClamps) {
   Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(vm(1, 2), policy));
   const auto evicted = site.fail_servers(10);
   EXPECT_EQ(evicted.size(), 1u);
@@ -201,7 +205,7 @@ TEST(Site, FailMoreServersThanHealthyClamps) {
 
 TEST(Site, FailRepairKeepsDeparturesAndShrinkConsistent) {
   Site site{small_site(3, 8)};
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   VmInstance a = vm(1, 4);
   a.end_tick = 5;
   ASSERT_TRUE(site.place(a, policy));
@@ -229,23 +233,15 @@ TEST(AllocationPolicies, BestFitConsolidates) {
   ASSERT_TRUE(site.place(vm(1, 4), best));
   // Next VM should land on the same (fullest) server, not an empty one.
   ASSERT_TRUE(site.place(vm(2, 2), best));
-  int used_servers = 0;
-  for (const ServerState& s : site.servers()) {
-    if (s.vm_count > 0) ++used_servers;
-  }
-  EXPECT_EQ(used_servers, 1);
+  EXPECT_EQ(site.powered_servers(), 1);
 }
 
 TEST(AllocationPolicies, WorstFitSpreads) {
   Site site{small_site(3, 8)};
-  WorstFitPolicy worst;
+  ScanPolicy worst{scan_reference::worst_fit};
   ASSERT_TRUE(site.place(vm(1, 4), worst));
   ASSERT_TRUE(site.place(vm(2, 4), worst));
-  int used_servers = 0;
-  for (const ServerState& s : site.servers()) {
-    if (s.vm_count > 0) ++used_servers;
-  }
-  EXPECT_EQ(used_servers, 2);
+  EXPECT_EQ(site.powered_servers(), 2);
 }
 
 TEST(AllocationPolicies, ConsolidationPowersFewerServersThanSpreading) {
@@ -255,7 +251,7 @@ TEST(AllocationPolicies, ConsolidationPowersFewerServersThanSpreading) {
   Site consolidated{small_site(50, 40, 512.0)};
   Site spread{small_site(50, 40, 512.0)};
   BestFitPolicy best;
-  WorstFitPolicy worst;
+  ScanPolicy worst{scan_reference::worst_fit};
   for (std::int64_t id = 0; id < 60; ++id) {
     ASSERT_TRUE(consolidated.place(vm(id, 4, 16.0), best));
     ASSERT_TRUE(spread.place(vm(id, 4, 16.0), worst));
@@ -270,18 +266,70 @@ TEST(AllocationPolicies, ConsolidationPowersFewerServersThanSpreading) {
 
 TEST(AllocationPolicies, AllRefuseWhenNothingFits) {
   Site site{small_site(2, 2)};
-  FirstFitPolicy first;
+  ScanPolicy first{scan_reference::first_fit};
   BestFitPolicy best;
-  WorstFitPolicy worst;
+  ScanPolicy worst{scan_reference::worst_fit};
   const workload::VmShape huge{16, 8.0};
   EXPECT_FALSE(first.choose(site, huge).has_value());
   EXPECT_FALSE(best.choose(site, huge).has_value());
   EXPECT_FALSE(worst.choose(site, huge).has_value());
 }
 
+/// Highest-index server that fits — an answer no built-in chooser gives,
+/// so a commit anywhere else would show.
+class LastFitPolicy final : public AllocationPolicy {
+ public:
+  std::optional<int> choose(const Site& site,
+                            const workload::VmShape& shape) override {
+    ++calls;
+    for (int i = site.config().n_servers - 1; i >= 0; --i) {
+      const ServerState s = site.server(static_cast<std::size_t>(i));
+      if (!site.server_failed(static_cast<std::size_t>(i)) &&
+          s.free_cores >= shape.cores && s.free_memory_gb >= shape.memory_gb) {
+        return i;
+      }
+    }
+    return std::nullopt;
+  }
+  int calls = 0;
+};
+
+TEST(AllocationPolicies, PlaceCommitsWherePolicyChoosesOncePerPlace) {
+  Site site{small_site(4, 8)};
+  LastFitPolicy last;
+  ASSERT_TRUE(site.place(vm(1, 4), last));
+  EXPECT_EQ(last.calls, 1);
+  EXPECT_EQ(site.find(1)->server, 3);
+  EXPECT_EQ(site.server(3).free_cores, 4);
+  EXPECT_EQ(site.server(3).vm_count, 1);
+
+  ASSERT_TRUE(site.place(vm(2, 6), last));  // 3 has 4 free: next is 2
+  EXPECT_EQ(last.calls, 2);
+  EXPECT_EQ(site.find(2)->server, 2);
+
+  (void)site.fail_servers(1);  // server 0 offline (it was empty)
+  ASSERT_TRUE(site.place(vm(3, 8), last));
+  EXPECT_EQ(site.find(3)->server, 1);
+  EXPECT_FALSE(site.place(vm(4, 8), last));  // nothing fits: no commit
+  EXPECT_EQ(last.calls, 4);
+  EXPECT_EQ(site.vm_count(), 3u);
+  EXPECT_EQ(site.powered_servers(), 3);
+  EXPECT_EQ(site.allocated_cores(), 18);
+
+  // Best-fit would choose server 2 here: the commit follows the policy,
+  // not the block's own chooser.
+  ASSERT_TRUE(site.remove(3).has_value());
+  BestFitPolicy best;
+  EXPECT_EQ(best.choose(site, {2, 8.0}), 2);
+  ASSERT_TRUE(site.place(vm(5, 2), last));
+  EXPECT_EQ(last.calls, 5);
+  EXPECT_EQ(site.find(5)->server, 3);
+  EXPECT_EQ(site.server(3).free_cores, 2);
+}
+
 TEST(Site, UtilizationTracking) {
   Site site{small_site(4, 8)};  // 32 cores
-  FirstFitPolicy policy;
+  ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(vm(1, 8), policy));
   EXPECT_DOUBLE_EQ(site.utilization(), 0.25);
   EXPECT_EQ(site.required_cores(), 8);

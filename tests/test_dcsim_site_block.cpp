@@ -1,10 +1,11 @@
-// SiteBlock is a flat SoA re-encoding of Site used by the sharded fleet
-// engine; its contract is exact behavioral equality. These tests drive a
-// SiteBlock and a vector of Sites through identical randomized op streams
-// (best-fit place, remove, shrink, fail, repair) and
-// demand identical server choices, eviction orders, and counters at every
-// step — including block-internal base-offset handling, which only shows
-// up when the block holds several sites of different sizes.
+// The fleet engine runs one SiteBlock over a whole shard of sites; Fig 4
+// runs a dcsim::Site, which is a one-site SiteBlock. The differential
+// test drives a multi-site block and a vector of one-site Sites through
+// identical randomized op streams (best-fit place, remove, shrink, fail,
+// repair) and demands identical server choices, eviction orders, and
+// counters at every step — which pins the block-internal base-offset
+// handling, visible only when the block holds several sites of different
+// sizes. Every best-fit answer is also checked against the linear scan.
 #include "vbatt/dcsim/site_block.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "vbatt/dcsim/scan_reference.h"
 #include "vbatt/dcsim/site.h"
 #include "vbatt/util/rng.h"
 
@@ -71,7 +73,10 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
       const double mem =
           rng.chance(0.2) ? 48.0 : static_cast<double>(rng.below(24) + 1);
       const bool degradable = rng.chance(0.4);
+      const std::optional<int> scanned =
+          scan_reference::best_fit(site, {cores, mem});
       const int got = block.place(s, next_id, cores, mem, degradable);
+      ASSERT_EQ(got, scanned.value_or(-1)) << "step " << step << " site " << s;
       const bool placed = site.place(
           make_vm(next_id, cores, mem,
                   degradable ? workload::VmClass::degradable
@@ -176,6 +181,27 @@ TEST(SiteBlock, FailedServersAreInvisibleUntilRepair) {
   block.repair_servers(0, 2);
   EXPECT_EQ(block.failed_servers(0), 0);
   EXPECT_EQ(block.place(0, 2, 2, 4.0, false), 0);
+}
+
+TEST(SiteBlock, BestFitIsAQueryAndCommitHonoursAnyServer) {
+  SiteConfig config;
+  config.n_servers = 3;
+  config.server = {8, 32.0};
+  SiteBlock block{{config, config}};
+  EXPECT_EQ(block.best_fit(1, 2, 4.0), 0);
+  EXPECT_EQ(block.server(1, 0).vm_count, 0);  // the query did not commit
+  block.commit(1, 2, 7, 2, 4.0, true);        // not the best-fit server
+  const ServerState s = block.server(1, 2);
+  EXPECT_EQ(s.free_cores, 6);
+  EXPECT_EQ(s.free_memory_gb, 28.0);
+  EXPECT_EQ(s.vm_count, 1);
+  EXPECT_EQ(block.server(0, 2).vm_count, 0);  // site 0 untouched
+  EXPECT_EQ(block.best_fit(1, 2, 4.0), 2);    // now the fullest fit
+  EXPECT_FALSE(block.server_failed(1, 0));
+  std::vector<SiteBlock::Evicted> evicted;
+  block.fail_servers(1, 1, evicted);
+  EXPECT_TRUE(block.server_failed(1, 0));
+  EXPECT_FALSE(block.server_failed(0, 0));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // The event-driven Site keeps three incremental indices (free-cores
-// buckets, per-server victim order, departure calendar queue). These tests
+// buckets and per-server victim order in its SiteBlock, plus its own
+// departure calendar queue). These tests
 // pin each of them to the behavior of the original full-scan code:
-//   * property test: every indexed choose returns the identical server id
-//     as the retained linear scan (scan_reference.h) across randomized
-//     place / remove / shrink sequences, for all four policies;
+//   * property test: the indexed best-fit returns the identical server id
+//     as the linear scan (scan_reference.h) across randomized
+//     place / remove / shrink sequences;
 //   * regression: shrink_to's eviction order is unchanged vs the seed's
 //     rebuild-and-sort implementation;
 //   * BestFit's "never start an empty server if a partially-used one
@@ -84,113 +85,72 @@ struct ShadowModel {
   }
 };
 
-enum class PolicyKind { first_fit, best_fit, worst_fit, protean };
-
-std::optional<int> indexed_choose(const Site& site, PolicyKind kind,
-                                  const workload::VmShape& shape) {
-  switch (kind) {
-    case PolicyKind::first_fit:
-      return site.choose_first_fit(shape);
-    case PolicyKind::best_fit:
-      return site.choose_best_fit(shape);
-    case PolicyKind::worst_fit:
-      return site.choose_worst_fit(shape);
-    case PolicyKind::protean:
-      break;
-  }
-  return site.choose_protean(shape);
-}
-
-std::optional<int> scan_choose(const Site& site, PolicyKind kind,
-                               const workload::VmShape& shape) {
-  switch (kind) {
-    case PolicyKind::first_fit:
-      return scan_reference::first_fit(site, shape);
-    case PolicyKind::best_fit:
-      return scan_reference::best_fit(site, shape);
-    case PolicyKind::worst_fit:
-      return scan_reference::worst_fit(site, shape);
-    case PolicyKind::protean:
-      break;
-  }
-  return scan_reference::protean(site, shape);
-}
-
-/// Forwards to the indexed choose but asserts scan agreement on every
-/// single query the site issues.
+/// Best-fit through the production policy, checked against the linear
+/// scan on every single query the site issues.
 class CheckedPolicy final : public AllocationPolicy {
  public:
-  explicit CheckedPolicy(PolicyKind kind) : kind_{kind} {}
   std::optional<int> choose(const Site& site,
                             const workload::VmShape& shape) override {
-    const std::optional<int> indexed = indexed_choose(site, kind_, shape);
-    const std::optional<int> scanned = scan_choose(site, kind_, shape);
-    EXPECT_EQ(indexed, scanned)
-        << "policy " << static_cast<int>(kind_) << " diverged for shape {"
-        << shape.cores << ", " << shape.memory_gb << "}";
+    const std::optional<int> indexed = best_.choose(site, shape);
+    EXPECT_EQ(indexed, scan_reference::best_fit(site, shape))
+        << "best-fit diverged for shape {" << shape.cores << ", "
+        << shape.memory_gb << "}";
     ++queries;
     return indexed;
   }
-  PolicyKind kind_;
+  BestFitPolicy best_;
   int queries = 0;
 };
 
 TEST(SiteIndexProperty, IndexedChooseMatchesScanUnderRandomChurn) {
-  for (const PolicyKind kind :
-       {PolicyKind::first_fit, PolicyKind::best_fit, PolicyKind::worst_fit,
-        PolicyKind::protean}) {
-    util::Rng rng{util::seed_for(2024, "site-index-property",
-                                 static_cast<std::uint64_t>(kind))};
-    Site site{site_config(24, 16, 64.0)};
-    CheckedPolicy policy{kind};
-    std::vector<std::int64_t> resident;
-    std::int64_t next_id = 0;
+  util::Rng rng{util::seed_for(2024, "site-index-property",
+                               std::uint64_t{1})};
+  Site site{site_config(24, 16, 64.0)};
+  CheckedPolicy policy;
+  std::vector<std::int64_t> resident;
+  std::int64_t next_id = 0;
 
-    for (int step = 0; step < 4000; ++step) {
-      const double roll = rng.uniform();
-      if (roll < 0.55) {
-        // Place: varied shapes, some memory-heavy so the memory constraint
-        // (not just the core bucket) decides fits; occasional zero-core
-        // shapes exercise the BestFit tie-break.
-        const int cores = rng.chance(0.05)
-                              ? 0
-                              : static_cast<int>(rng.below(8)) + 1;
-        const double mem =
-            rng.chance(0.2) ? 48.0 : static_cast<double>(rng.below(24) + 1);
-        const auto cls = rng.chance(0.4) ? workload::VmClass::degradable
-                                         : workload::VmClass::stable;
-        const VmInstance vm = make_vm(next_id, cores, mem, cls);
-        if (site.place(vm, policy)) resident.push_back(next_id);
-        ++next_id;
-      } else if (roll < 0.85 && !resident.empty()) {
-        // Remove a random resident VM.
-        const std::size_t pick = rng.below(resident.size());
-        ASSERT_TRUE(site.remove(resident[pick]).has_value());
-        resident[pick] = resident.back();
+  for (int step = 0; step < 4000; ++step) {
+    const double roll = rng.uniform();
+    if (roll < 0.55) {
+      // Place: varied shapes, some memory-heavy so the memory constraint
+      // (not just the core bucket) decides fits; occasional zero-core
+      // shapes exercise the tie-break toward used servers.
+      const int cores =
+          rng.chance(0.05) ? 0 : static_cast<int>(rng.below(8)) + 1;
+      const double mem =
+          rng.chance(0.2) ? 48.0 : static_cast<double>(rng.below(24) + 1);
+      const auto cls = rng.chance(0.4) ? workload::VmClass::degradable
+                                       : workload::VmClass::stable;
+      const VmInstance vm = make_vm(next_id, cores, mem, cls);
+      if (site.place(vm, policy)) resident.push_back(next_id);
+      ++next_id;
+    } else if (roll < 0.85 && !resident.empty()) {
+      // Remove a random resident VM.
+      const std::size_t pick = rng.below(resident.size());
+      ASSERT_TRUE(site.remove(resident[pick]).has_value());
+      resident[pick] = resident.back();
+      resident.pop_back();
+    } else {
+      // Shrink to a random budget.
+      const int budget = static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(site.total_cores()) + 1));
+      for (const VmInstance& vm : site.shrink_to(budget)) {
+        const auto it = std::find(resident.begin(), resident.end(), vm.vm_id);
+        ASSERT_NE(it, resident.end());
+        *it = resident.back();
         resident.pop_back();
-      } else {
-        // Shrink to a random budget.
-        const int budget =
-            static_cast<int>(rng.below(
-                static_cast<std::uint64_t>(site.total_cores()) + 1));
-        for (const VmInstance& vm : site.shrink_to(budget)) {
-          const auto it =
-              std::find(resident.begin(), resident.end(), vm.vm_id);
-          ASSERT_NE(it, resident.end());
-          *it = resident.back();
-          resident.pop_back();
-        }
       }
     }
-    EXPECT_GT(policy.queries, 1000);
-    EXPECT_EQ(site.vm_count(), resident.size());
   }
+  EXPECT_GT(policy.queries, 1000);
+  EXPECT_EQ(site.vm_count(), resident.size());
 }
 
 TEST(SiteShrinkRegression, EvictionOrderMatchesSeedRebuildAndSort) {
   util::Rng rng{util::seed_for(2024, "shrink-order")};
   Site site{site_config(8, 16, 64.0)};
-  FirstFitPolicy policy;
+  scan_reference::ScanPolicy policy{scan_reference::first_fit};
   ShadowModel model;
   std::int64_t next_id = 0;
 
@@ -248,7 +208,7 @@ TEST(BestFitPolicyTieBreak, NeverStartsAnEmptyServerIfUsedOneFits) {
 
 TEST(SiteCalendarQueue, StaleEntriesAreSkippedAfterRemoveAndRelaunch) {
   Site site{site_config(2, 8, 32.0)};
-  FirstFitPolicy policy;
+  scan_reference::ScanPolicy policy{scan_reference::first_fit};
   // Place with end 5, remove, re-place the same id with end 9: the stale
   // heap entry at 5 must not evict the relaunched instance.
   ASSERT_TRUE(site.place(make_vm(1, 2, 4.0, workload::VmClass::stable, 5),
@@ -265,7 +225,7 @@ TEST(SiteCalendarQueue, StaleEntriesAreSkippedAfterRemoveAndRelaunch) {
 
 TEST(SiteCalendarQueue, SameEndTickRelaunchDepartsOnce) {
   Site site{site_config(2, 8, 32.0)};
-  FirstFitPolicy policy;
+  scan_reference::ScanPolicy policy{scan_reference::first_fit};
   ASSERT_TRUE(site.place(make_vm(7, 2, 4.0, workload::VmClass::stable, 5),
                          policy));
   ASSERT_TRUE(site.remove(7).has_value());
@@ -280,7 +240,7 @@ TEST(SiteCalendarQueue, SameEndTickRelaunchDepartsOnce) {
 
 TEST(SitePoweredCounters, TrackPlaceRemoveShrink) {
   Site site{site_config(4, 8, 32.0)};
-  WorstFitPolicy spread;
+  scan_reference::ScanPolicy spread{scan_reference::worst_fit};
   EXPECT_EQ(site.powered_servers(), 0);
   EXPECT_EQ(site.active_cores(), 0);
   for (int i = 0; i < 4; ++i) {

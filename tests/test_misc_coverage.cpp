@@ -6,6 +6,7 @@
 #include <set>
 
 #include "vbatt/core/fleet_sim.h"
+#include "vbatt/dcsim/scan_reference.h"
 #include "vbatt/dcsim/site.h"
 #include "vbatt/util/time.h"
 
@@ -29,7 +30,8 @@ TEST(SiteEviction, RoundRobinCursorRotatesAcrossShrinks) {
   config.n_servers = 4;
   config.server = {4, 16.0};
   dcsim::Site site{config};
-  dcsim::WorstFitPolicy spread;
+  dcsim::scan_reference::ScanPolicy spread{
+      dcsim::scan_reference::worst_fit};
   for (int i = 0; i < 4; ++i) {
     dcsim::VmInstance vm;
     vm.vm_id = i;

@@ -10,14 +10,17 @@
 //                   [--objective=cost|carbon|peak]
 //   vbatt forecast  --source=solar --lead=24
 //
-// Every run is deterministic for a given --seed.
+// Every run is deterministic for a given --seed. A command exits 2 on a
+// flag it does not read.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <numeric>
 #include <string>
+#include <vector>
 
+#include "args.h"
 #include "vbatt/fault/injector.h"
 #include "vbatt/vbatt.h"
 
@@ -25,39 +28,7 @@ namespace {
 
 using namespace vbatt;
 
-/// --key=value / --flag argument bag.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      const std::string body = arg.substr(2);
-      const std::size_t eq = body.find('=');
-      if (eq == std::string::npos) {
-        values_.insert_or_assign(body, std::string{"1"});
-      } else {
-        values_.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-      }
-    }
-  }
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  bool flag(const std::string& key) const { return values_.contains(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 energy::PowerTrace make_trace(const Args& args, std::size_t ticks) {
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 11));
@@ -424,17 +395,30 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   util::install_shutdown_handlers();
-  const std::string command = argv[1];
-  const Args args{argc, argv, 2};
+  struct Command {
+    int (*run)(const Args&);
+    std::vector<std::string> keys;  // the flags the command reads
+  };
+  const std::map<std::string, Command> commands{
+      {"trace", {cmd_trace, {"source", "seed", "days", "out"}}},
+      {"fleet",
+       {cmd_fleet, {"days", "solar", "wind", "region", "storms", "seed"}}},
+      {"site-sim",
+       {cmd_site_sim, {"source", "seed", "days", "servers", "load"}}},
+      {"schedule",
+       {cmd_schedule,
+        {"days", "solar", "wind", "region", "storms", "cores-per-mw",
+         "apps-per-hour", "chaos", "chaos-csv", "chaos-seed", "workload",
+         "batch-seed", "objective", "policy", "vm-level"}}},
+      {"forecast", {cmd_forecast, {"source", "seed", "days", "lead"}}},
+  };
+  const auto command = commands.find(argv[1]);
+  if (command == commands.end()) return usage();
+  const Args args{argc, argv, 2, command->second.keys};
   try {
-    if (command == "trace") return cmd_trace(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "site-sim") return cmd_site_sim(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "forecast") return cmd_forecast(args);
+    return command->second.run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "vbatt: %s\n", e.what());
     return 2;
   }
-  return usage();
 }

@@ -40,13 +40,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
+#include "args.h"
 #include "vbatt/fault/stream.h"
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
@@ -56,38 +56,7 @@ namespace {
 
 using namespace vbatt;
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      const std::string body = arg.substr(2);
-      const std::size_t eq = body.find('=');
-      if (eq == std::string::npos) {
-        values_.insert_or_assign(body, std::string{"1"});
-      } else {
-        values_.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-      }
-    }
-  }
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  bool flag(const std::string& key) const { return values_.contains(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 svc::ServiceConfig service_config(const Args& args) {
   svc::ServiceConfig config;
@@ -408,7 +377,14 @@ int usage() {
 
 int main(int argc, char** argv) {
   util::install_shutdown_handlers();
-  const Args args{argc, argv};
+  const Args args{
+      argc, argv, 1,
+      {"help", "stdin", "days", "solar", "wind", "region", "storms",
+       "cores-per-mw", "apps-per-hour", "policy", "chaos", "chaos-seed",
+       "batch-jobs", "batch-tasks", "batch-seed", "replan-on-fault",
+       "heartbeats", "health", "suspect-after", "dead-after",
+       "recovering-ticks", "verify", "log", "snapshot", "snapshot-every",
+       "recover", "kill-at", "state-out"}};
   if (args.flag("help")) return usage();
   try {
     return args.flag("stdin") ? run_stdin_mode(args) : run_scenario_mode(args);
